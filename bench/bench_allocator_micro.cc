@@ -2,7 +2,7 @@
  * @file
  * google-benchmark microbenchmarks of the allocator implementations'
  * host-side data-structure costs: allocate/deallocate round trips,
- * pool-search scaling, and BestFit over growing pools. These measure
+ * the stitch path, and mapping-table range work. These measure
  * real wall-clock time of the bookkeeping code (the simulated device
  * latencies are separate and covered by bench_table1/bench_fig6).
  */
@@ -12,9 +12,7 @@
 #include <vector>
 
 #include "alloc/caching_allocator.hh"
-#include "core/best_fit.hh"
 #include "core/gmlake_allocator.hh"
-#include "support/rng.hh"
 #include "support/units.hh"
 #include "vmm/device.hh"
 #include "workload/tracegen.hh"
@@ -95,23 +93,6 @@ BM_GmlakeStitchPath(benchmark::State &state)
 BENCHMARK(BM_GmlakeStitchPath);
 
 void
-BM_BestFitScaling(benchmark::State &state)
-{
-    // BestFit over an inactive pool of the given size.
-    Rng rng(42);
-    std::vector<Bytes> pool;
-    for (int i = 0; i < state.range(0); ++i)
-        pool.push_back(2_MiB * rng.uniformInt(1, 256));
-    std::sort(pool.rbegin(), pool.rend());
-    const Bytes want = 2_MiB * 300; // forces a full scan
-    for (auto _ : state) {
-        const auto r = core::bestFit(want, {}, pool, 0);
-        benchmark::DoNotOptimize(r.candidateBytes);
-    }
-}
-BENCHMARK(BM_BestFitScaling)->Arg(64)->Arg(512)->Arg(4096);
-
-void
 BM_MappingsInScratch(benchmark::State &state)
 {
     // Range queries over a deeply chunked mapping table: the
@@ -135,67 +116,6 @@ BM_MappingsInScratch(benchmark::State &state)
     state.counters["chunks"] = static_cast<double>(chunks);
 }
 BENCHMARK(BM_MappingsInScratch)->Arg(16)->Arg(256)->Arg(1024);
-
-void
-BM_MappingSnapshotRead(benchmark::State &state)
-{
-    // Range stats against an epoch-published immutable snapshot: the
-    // lock-free read path concurrent replay threads use instead of
-    // querying the live tree under the device state lock. The flat
-    // upper_bound arrays should beat the tree walk at every depth.
-    vmm::Device dev(bigDevice());
-    const std::size_t chunks = static_cast<std::size_t>(state.range(0));
-    const auto va = dev.memAddressReserve(chunks * 2_MiB);
-    for (std::size_t i = 0; i < chunks; ++i) {
-        const auto h = dev.memCreate(2_MiB);
-        (void)dev.memMap(*va + static_cast<VirtAddr>(i) * 2_MiB, *h);
-    }
-    (void)dev.memSetAccess(*va, chunks * 2_MiB);
-
-    const auto snap = dev.mappingSnapshot();
-    // Sweep the query window across the range so the upper_bound
-    // probe position varies instead of staying cache-hot on one spot.
-    VirtAddr cursor = *va;
-    const VirtAddr end = *va + chunks * 2_MiB;
-    for (auto _ : state) {
-        const auto stats = snap->rangeStats(cursor, 16_MiB);
-        benchmark::DoNotOptimize(stats.bytes);
-        cursor += 2_MiB;
-        if (cursor >= end)
-            cursor = *va;
-    }
-    state.counters["chunks"] = static_cast<double>(chunks);
-    state.counters["epoch"] = static_cast<double>(snap->epoch());
-}
-BENCHMARK(BM_MappingSnapshotRead)->Arg(16)->Arg(256)->Arg(1024);
-
-void
-BM_ShardedPoolAlloc(benchmark::State &state)
-{
-    // Cache-hit allocate/free churn spread over N stream-tagged pool
-    // shards. Single-threaded this measures the shard map + per-shard
-    // mutex overhead of the fast path; the sharding's concurrency win
-    // is covered by the engine-level thread-scaling runs.
-    vmm::Device dev(bigDevice());
-    alloc::CachingAllocator allocator(dev);
-    const StreamId streams = static_cast<StreamId>(state.range(0));
-    // Warm one cached block per stream so the loop never maps.
-    for (StreamId s = 0; s < streams; ++s) {
-        const auto warm = allocator.allocate(2_MiB, s);
-        (void)allocator.deallocate(warm->id);
-    }
-    StreamId s = 0;
-    for (auto _ : state) {
-        const auto a = allocator.allocate(2_MiB, s);
-        benchmark::DoNotOptimize(a.value().addr);
-        (void)allocator.deallocate(a->id);
-        s = (s + 1) % streams;
-    }
-    state.counters["streams"] = static_cast<double>(streams);
-    state.counters["lock_wait_ns"] =
-        static_cast<double>(allocator.lockWaitNs());
-}
-BENCHMARK(BM_ShardedPoolAlloc)->Arg(1)->Arg(4)->Arg(16);
 
 void
 BM_DeviceStitchTeardown(benchmark::State &state)

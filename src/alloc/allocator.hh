@@ -124,21 +124,14 @@ class Allocator
      */
     virtual void restoreState(const Checkpoint &checkpoint) = 0;
 
-    // --- concurrency ----------------------------------------------------
+    // --- decorator forwarding ------------------------------------------
 
     /**
-     * True when the allocator's entry points are safe to call from
-     * several engine workers at once (it locks internally). The
-     * relaxed-commit engine wraps anything that returns false in one
-     * coarse external mutex.
+     * Kept for the benchmark's allocator decorators
+     * (perfbench/src/layers.hh), which forward both calls. Every
+     * allocator returns these defaults.
      */
     virtual bool internallySynchronized() const { return false; }
-
-    /**
-     * Host ns callers spent blocked on the allocator's internal
-     * locks (0 for unsynchronized allocators). Feeds
-     * RunResult::lockWaitNs.
-     */
     virtual std::uint64_t lockWaitNs() const { return 0; }
 
     // --- host-offload cooperation (src/offload) ------------------------

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <map>
-#include <mutex>
 
 #include "support/logging.hh"
 #include "support/strings.hh"
@@ -16,6 +15,8 @@ bool
 CachingAllocator::BlockCmp::operator()(const Block *a,
                                        const Block *b) const
 {
+    if (a->stream != b->stream)
+        return a->stream < b->stream;
     if (a->size != b->size)
         return a->size < b->size;
     return a->addr < b->addr;
@@ -23,61 +24,24 @@ CachingAllocator::BlockCmp::operator()(const Block *a,
 
 bool
 CachingAllocator::BlockCmp::operator()(const Block *a,
-                                       const SizeKey &k) const
+                                       const BlockKey &k) const
 {
+    if (a->stream != k.stream)
+        return a->stream < k.stream;
     if (a->size != k.size)
         return a->size < k.size;
     return a->addr < k.addr;
 }
 
 bool
-CachingAllocator::BlockCmp::operator()(const SizeKey &k,
+CachingAllocator::BlockCmp::operator()(const BlockKey &k,
                                        const Block *b) const
 {
+    if (k.stream != b->stream)
+        return k.stream < b->stream;
     if (k.size != b->size)
         return k.size < b->size;
     return k.addr < b->addr;
-}
-
-CachingAllocator::Shard &
-CachingAllocator::ShardedPool::shardFor(StreamId stream)
-{
-    {
-        std::shared_lock lock(mapMutex);
-        auto it = shards.find(stream);
-        if (it != shards.end())
-            return it->second;
-    }
-    std::unique_lock lock(mapMutex);
-    return shards[stream]; // node-based: existing shards stay put
-}
-
-void
-CachingAllocator::ShardedPool::insert(Block *block)
-{
-    Shard &shard = shardFor(block->stream);
-    const std::lock_guard<TimedMutex> lock(shard.mutex);
-    shard.blocks.insert(block);
-}
-
-bool
-CachingAllocator::ShardedPool::remove(Block *block)
-{
-    Shard &shard = shardFor(block->stream);
-    const std::lock_guard<TimedMutex> lock(shard.mutex);
-    return shard.blocks.erase(block) == 1;
-}
-
-std::uint64_t
-CachingAllocator::ShardedPool::lockWaitNs() const
-{
-    std::shared_lock lock(mapMutex);
-    std::uint64_t total = 0;
-    for (const auto &[tag, shard] : shards) {
-        (void)tag;
-        total += shard.mutex.waitNs();
-    }
-    return total;
 }
 
 CachingAllocator::CachingAllocator(vmm::Device &device,
@@ -121,7 +85,7 @@ CachingAllocator::allocationSize(Bytes rounded) const
     return roundUp(rounded, mConfig.roundLarge);
 }
 
-CachingAllocator::ShardedPool &
+CachingAllocator::FreePool &
 CachingAllocator::poolFor(Bytes rounded)
 {
     return rounded <= mConfig.smallSize ? mSmallPool : mLargePool;
@@ -140,7 +104,7 @@ CachingAllocator::shouldSplit(const Block &block, Bytes rounded) const
 
 CachingAllocator::Block *
 CachingAllocator::newBlock(VirtAddr addr, Bytes size, VirtAddr segment,
-                           ShardedPool *pool, StreamId stream)
+                           FreePool *pool, StreamId stream)
 {
     auto owned = std::make_unique<Block>();
     Block *raw = owned.get();
@@ -183,9 +147,7 @@ CachingAllocator::growSegment(Bytes rounded, StreamId stream)
             // Offload tier attached: a targeted trim (attributed as
             // eviction traffic) instead of dropping the whole cache.
             // Live spilling is unsupported here, so the hook cannot
-            // reclaim beyond the cache — see trimCache(). The meta
-            // mutex is not held across this call: the hook reenters
-            // through trimCache(), which takes it.
+            // reclaim beyond the cache — see trimCache().
             mOffloadHook->reclaimOnOom(segSize, stream);
         } else {
             emptyCache();
@@ -202,7 +164,6 @@ CachingAllocator::growSegment(Bytes rounded, StreamId stream)
         if (!va.ok())
             return va.error();
     }
-    const std::lock_guard<TimedMutex> meta(mMetaMutex);
     mSegments.emplace(*va, segSize);
     mStats.onReserve(segSize);
     Block *block =
@@ -211,31 +172,24 @@ CachingAllocator::growSegment(Bytes rounded, StreamId stream)
 }
 
 CachingAllocator::Block *
-CachingAllocator::findFit(ShardedPool &pool, Bytes rounded,
+CachingAllocator::findFit(FreePool &pool, Bytes rounded,
                           StreamId stream)
 {
-    // Best fit across the stream-tag shards of the pool: blocks of
-    // the requesting stream and stream-neutral blocks are always
-    // usable; blocks freed on another stream become usable once
-    // their free event has lapsed. Among the usable candidates the
-    // smallest sufficient block wins; strict comparison keeps the
-    // lowest tag on ties, as the single-set walk did.
-    //
-    // Claim as we go: a candidate that improves on the running best
-    // is removed from its shard immediately (so no other thread can
-    // take it), and the displaced previous best goes back to its own
-    // shard — after this shard's lock is dropped, so at most one
-    // shard mutex is ever held.
+    // Best fit across the stream-tag runs of the pool: blocks of the
+    // requesting stream and stream-neutral blocks are always usable;
+    // blocks freed on another stream become usable once their free
+    // event has lapsed. Among the usable candidates the smallest
+    // sufficient block wins; strict comparison keeps the lowest tag
+    // on ties.
     const Tick now = mDevice.now();
     Block *best = nullptr;
-    std::shared_lock mapLock(pool.mapMutex);
-    for (auto &[tag, shard] : pool.shards) {
-        Block *displaced = nullptr;
-        {
-            const std::lock_guard<TimedMutex> lock(shard.mutex);
-            auto it = shard.blocks.lower_bound(SizeKey{rounded, 0});
-            if (it == shard.blocks.end())
-                continue;
+    auto it = pool.begin();
+    while (it != pool.end()) {
+        const StreamId tag = (*it)->stream;
+        // Jump to the first sufficiently large block of this tag
+        // (keyed lookup — no probe Block is materialized).
+        it = pool.lower_bound(BlockKey{tag, rounded, 0});
+        if (it != pool.end() && (*it)->stream == tag) {
             Block *cand = *it;
             bool usable =
                 tag == stream || tag == kAnyStream ||
@@ -245,21 +199,15 @@ CachingAllocator::findFit(ShardedPool &pool, Bytes rounded,
             if (cand->size > mConfig.maxSplitSize &&
                 cand->size - rounded > mConfig.largeBuffer)
                 usable = false;
-            if (!usable || (best && cand->size >= best->size))
-                continue;
-            shard.blocks.erase(it);
-            displaced = best;
-            best = cand;
+            if (usable && (!best || cand->size < best->size))
+                best = cand;
         }
-        if (displaced) {
-            auto home = pool.shards.find(displaced->stream);
-            GMLAKE_ASSERT(home != pool.shards.end(),
-                          "displaced block lost its shard");
-            const std::lock_guard<TimedMutex> lock(
-                home->second.mutex);
-            home->second.blocks.insert(displaced);
-        }
+        // Skip to the next stream tag.
+        it = pool.upper_bound(
+            BlockKey{tag, ~Bytes{0}, ~VirtAddr{0}});
     }
+    if (best)
+        pool.erase(best);
     return best;
 }
 
@@ -274,7 +222,7 @@ CachingAllocator::allocate(Bytes size, StreamId stream)
     mDevice.chargeCachedOp();
 
     const Bytes rounded = roundSize(size);
-    ShardedPool &pool = poolFor(rounded);
+    FreePool &pool = poolFor(rounded);
 
     Block *block = findFit(pool, rounded, stream);
     if (!block) {
@@ -283,7 +231,6 @@ CachingAllocator::allocate(Bytes size, StreamId stream)
             return grown.error();
         block = *grown;
     }
-    const std::lock_guard<TimedMutex> meta(mMetaMutex);
     // The block is about to be written by this stream.
     block->stream = stream;
 
@@ -311,10 +258,10 @@ CachingAllocator::allocate(Bytes size, StreamId stream)
 CachingAllocator::Block *
 CachingAllocator::coalesce(Block *block)
 {
-    ShardedPool &pool = *block->pool;
+    FreePool &pool = *block->pool;
     if (Block *n = block->next;
-        n && !n->allocated && n->stream == block->stream &&
-        pool.remove(n)) {
+        n && !n->allocated && n->stream == block->stream) {
+        pool.erase(n);
         block->size += n->size;
         if (n->freedAt > block->freedAt)
             block->freedAt = n->freedAt;
@@ -324,8 +271,8 @@ CachingAllocator::coalesce(Block *block)
         destroyBlock(n);
     }
     if (Block *p = block->prev;
-        p && !p->allocated && p->stream == block->stream &&
-        pool.remove(p)) {
+        p && !p->allocated && p->stream == block->stream) {
+        pool.erase(p);
         p->size += block->size;
         if (block->freedAt > p->freedAt)
             p->freedAt = block->freedAt;
@@ -341,7 +288,6 @@ CachingAllocator::coalesce(Block *block)
 Status
 CachingAllocator::deallocate(AllocId id)
 {
-    const std::lock_guard<TimedMutex> meta(mMetaMutex);
     auto it = mLive.find(id);
     if (it == mLive.end())
         return makeError(Errc::invalidValue, "unknown allocation id");
@@ -363,45 +309,28 @@ CachingAllocator::deallocate(AllocId id)
 void
 CachingAllocator::releaseStream(StreamId stream)
 {
-    const std::lock_guard<TimedMutex> meta(mMetaMutex);
     // Retag the free blocks pinned to @p stream (or every stream for
     // the kAnyStream sentinel) as reusable by anyone, then merge
-    // newly compatible neighbours. Retagging changes the shard a
-    // block lives in, so the blocks are re-inserted.
-    auto sweep = [&](ShardedPool &pool) {
-        std::shared_lock mapLock(pool.mapMutex);
+    // newly compatible neighbours. Retagging changes the pool sort
+    // key, so the blocks are re-inserted.
+    auto sweep = [&](FreePool &pool) {
         std::vector<Block *> retag;
-        for (auto &[tag, shard] : pool.shards) {
-            if (tag == kAnyStream ||
-                (stream != kAnyStream && tag != stream))
-                continue;
-            const std::lock_guard<TimedMutex> lock(shard.mutex);
-            retag.insert(retag.end(), shard.blocks.begin(),
-                         shard.blocks.end());
+        for (Block *b : pool) {
+            if (b->stream != kAnyStream &&
+                (stream == kAnyStream || b->stream == stream))
+                retag.push_back(b);
         }
-        mapLock.unlock();
         for (Block *b : retag) {
-            if (!pool.remove(b))
-                continue; // claimed by a concurrent allocate
+            pool.erase(b);
             b->stream = kAnyStream;
             pool.insert(b);
         }
-        // Merge pass: re-coalesce every free block, in the pool's
-        // global (stream, size, addr) order.
-        std::vector<Block *> frees;
-        mapLock.lock();
-        for (auto &[tag, shard] : pool.shards) {
-            (void)tag;
-            const std::lock_guard<TimedMutex> lock(shard.mutex);
-            frees.insert(frees.end(), shard.blocks.begin(),
-                         shard.blocks.end());
-        }
-        mapLock.unlock();
+        // Merge pass: re-coalesce every free block, in pool order.
+        std::vector<Block *> frees(pool.begin(), pool.end());
         for (Block *b : frees) {
             if (mBlocks.count(b) == 0 || b->allocated)
                 continue; // already merged away
-            if (!pool.remove(b))
-                continue; // claimed by a concurrent allocate
+            pool.erase(b);
             Block *merged = coalesce(b);
             pool.insert(merged);
         }
@@ -425,36 +354,28 @@ CachingAllocator::deviceSynchronize()
 }
 
 Bytes
-CachingAllocator::sweepSegments(ShardedPool &pool, Bytes budget)
+CachingAllocator::sweepSegments(FreePool &pool, Bytes budget)
 {
     Bytes freed = 0;
-    std::shared_lock mapLock(pool.mapMutex);
-    for (auto &[tag, shard] : pool.shards) {
-        (void)tag;
-        if (freed >= budget)
-            break;
-        const std::lock_guard<TimedMutex> lock(shard.mutex);
-        for (auto it = shard.blocks.begin();
-             it != shard.blocks.end() && freed < budget;) {
-            Block *block = *it;
-            if (!block->prev && !block->next) {
-                // Block spans its whole segment; release it.
-                const auto seg = mSegments.find(block->segment);
-                GMLAKE_ASSERT(seg != mSegments.end(),
-                              "free block with unknown segment");
-                GMLAKE_ASSERT(seg->second == block->size,
-                              "whole-segment block size mismatch");
-                const Status s = mDevice.freeNative(block->segment);
-                GMLAKE_ASSERT(s.ok(), "segment must free cleanly: ",
-                              s.ok() ? "" : s.error().message);
-                mStats.onRelease(seg->second);
-                freed += seg->second;
-                mSegments.erase(seg);
-                it = shard.blocks.erase(it);
-                destroyBlock(block);
-            } else {
-                ++it;
-            }
+    for (auto it = pool.begin(); it != pool.end() && freed < budget;) {
+        Block *block = *it;
+        if (!block->prev && !block->next) {
+            // Block spans its whole segment; release it.
+            const auto seg = mSegments.find(block->segment);
+            GMLAKE_ASSERT(seg != mSegments.end(),
+                          "free block with unknown segment");
+            GMLAKE_ASSERT(seg->second == block->size,
+                          "whole-segment block size mismatch");
+            const Status s = mDevice.freeNative(block->segment);
+            GMLAKE_ASSERT(s.ok(), "segment must free cleanly: ",
+                          s.ok() ? "" : s.error().message);
+            mStats.onRelease(seg->second);
+            freed += seg->second;
+            mSegments.erase(seg);
+            it = pool.erase(it);
+            destroyBlock(block);
+        } else {
+            ++it;
         }
     }
     return freed;
@@ -463,7 +384,6 @@ CachingAllocator::sweepSegments(ShardedPool &pool, Bytes budget)
 void
 CachingAllocator::emptyCache()
 {
-    const std::lock_guard<TimedMutex> meta(mMetaMutex);
     sweepSegments(mSmallPool, ~Bytes{0});
     sweepSegments(mLargePool, ~Bytes{0});
 }
@@ -473,7 +393,6 @@ CachingAllocator::trimCache(Bytes target)
 {
     if (target == 0)
         return 0;
-    const std::lock_guard<TimedMutex> meta(mMetaMutex);
     // Pool order (stream, size, addr) is deterministic, so the same
     // request always releases the same segments.
     Bytes freed = sweepSegments(mLargePool, target);
@@ -485,61 +404,30 @@ CachingAllocator::trimCache(Bytes target)
 Bytes
 CachingAllocator::trimmableBytes() const
 {
-    const std::lock_guard<TimedMutex> meta(mMetaMutex);
     Bytes total = 0;
-    auto sweep = [&](const ShardedPool &pool) {
-        std::shared_lock mapLock(pool.mapMutex);
-        for (const auto &[tag, shard] : pool.shards) {
-            (void)tag;
-            const std::lock_guard<TimedMutex> lock(shard.mutex);
-            for (const Block *b : shard.blocks) {
-                if (!b->prev && !b->next)
-                    total += b->size;
-            }
+    for (const FreePool *pool : {&mLargePool, &mSmallPool}) {
+        for (const Block *b : *pool) {
+            if (!b->prev && !b->next)
+                total += b->size;
         }
-    };
-    sweep(mLargePool);
-    sweep(mSmallPool);
+    }
     return total;
 }
 
 Bytes
 CachingAllocator::cachedBytes() const
 {
-    const std::lock_guard<TimedMutex> meta(mMetaMutex);
     Bytes total = 0;
-    auto sweep = [&](const ShardedPool &pool) {
-        std::shared_lock mapLock(pool.mapMutex);
-        for (const auto &[tag, shard] : pool.shards) {
-            (void)tag;
-            const std::lock_guard<TimedMutex> lock(shard.mutex);
-            for (const Block *b : shard.blocks)
-                total += b->size;
-        }
-    };
-    sweep(mSmallPool);
-    sweep(mLargePool);
+    for (const FreePool *pool : {&mSmallPool, &mLargePool}) {
+        for (const Block *b : *pool)
+            total += b->size;
+    }
     return total;
-}
-
-std::size_t
-CachingAllocator::segmentCount() const
-{
-    const std::lock_guard<TimedMutex> meta(mMetaMutex);
-    return mSegments.size();
-}
-
-std::uint64_t
-CachingAllocator::lockWaitNs() const
-{
-    return mMetaMutex.waitNs() + mSmallPool.lockWaitNs() +
-           mLargePool.lockWaitNs();
 }
 
 CachingAllocator::State
 CachingAllocator::captureState() const
 {
-    const std::lock_guard<TimedMutex> meta(mMetaMutex);
     State state;
     state.nextId = mNextId;
     state.stats = mStats.capture();
@@ -590,26 +478,17 @@ CachingAllocator::captureState() const
 void
 CachingAllocator::restoreInternal(const State &state)
 {
-    const std::lock_guard<TimedMutex> meta(mMetaMutex);
     // Drop every block node: pure metadata, no device interaction
     // (the caller restores the device wholesale).
-    const auto clearPool = [](ShardedPool &pool) {
-        std::unique_lock mapLock(pool.mapMutex);
-        for (auto &[tag, shard] : pool.shards) {
-            (void)tag;
-            const std::lock_guard<TimedMutex> lock(shard.mutex);
-            shard.blocks.clear();
-        }
-    };
-    clearPool(mSmallPool);
-    clearPool(mLargePool);
+    mSmallPool.clear();
+    mLargePool.clear();
     mBlocks.clear();
     mLive.clear();
     mSegments.clear();
 
     for (const auto &seg : state.segments) {
         mSegments.emplace(seg.base, seg.size);
-        ShardedPool *pool =
+        FreePool *pool =
             seg.smallPool ? &mSmallPool : &mLargePool;
         Block *prev = nullptr;
         for (const auto &rec : seg.blocks) {
@@ -667,7 +546,6 @@ CachingAllocator::restoreState(const Checkpoint &checkpoint)
 MemorySnapshot
 CachingAllocator::snapshot() const
 {
-    const std::lock_guard<TimedMutex> meta(mMetaMutex);
     MemorySnapshot snap;
     snap.allocator = name();
     snap.activeBytes = mStats.activeBytes();
@@ -704,7 +582,6 @@ CachingAllocator::snapshot() const
 void
 CachingAllocator::checkConsistency() const
 {
-    const std::lock_guard<TimedMutex> meta(mMetaMutex);
     // Every block chain must tile its segment exactly, and the free
     // pools must contain exactly the non-allocated blocks.
     Bytes chained = 0;
@@ -733,18 +610,8 @@ CachingAllocator::checkConsistency() const
     GMLAKE_ASSERT(chained == segTotal,
                   "blocks must tile segments: ", chained, " vs ",
                   segTotal);
-    std::size_t pooled = 0;
-    auto countPool = [&](const ShardedPool &pool) {
-        std::shared_lock mapLock(pool.mapMutex);
-        for (const auto &[tag, shard] : pool.shards) {
-            (void)tag;
-            const std::lock_guard<TimedMutex> lock(shard.mutex);
-            pooled += shard.blocks.size();
-        }
-    };
-    countPool(mSmallPool);
-    countPool(mLargePool);
-    GMLAKE_ASSERT(freeBlocks == pooled, "pool membership mismatch");
+    GMLAKE_ASSERT(freeBlocks == mSmallPool.size() + mLargePool.size(),
+                  "pool membership mismatch");
     GMLAKE_ASSERT(mStats.reservedBytes() == segTotal,
                   "reserved accounting drifted");
 }

@@ -29,18 +29,8 @@ GMLakeAllocator::GMLakeAllocator(vmm::Device &device, GMLakeConfig config)
     // and the scratch buffers once, up front (block nodes themselves
     // come from the slab pools).
     mLive.reserve(4096);
-    mScratch = &arenaFor(kDefaultStream);
-}
-
-GMLakeAllocator::ScratchArena &
-GMLakeAllocator::arenaFor(StreamId stream)
-{
-    auto [it, inserted] = mArenas.try_emplace(stream);
-    if (inserted) {
-        it->second.fitCandidates.reserve(64);
-        it->second.mapBatch.reserve(1024);
-    }
-    return it->second;
+    mFitCandidates.reserve(64);
+    mMapBatch.reserve(1024);
 }
 
 GMLakeAllocator::~GMLakeAllocator() = default;
@@ -202,13 +192,13 @@ GMLakeAllocator::splitPBlock(PBlock *block, Bytes sizeA)
         const auto va = mDevice.memAddressReserve(size);
         if (!va.ok())
             return va.error();
-        mScratch->mapBatch.clear();
+        mMapBatch.clear();
         for (std::size_t i = 0; i < chunkCount; ++i) {
-            mScratch->mapBatch.emplace_back(
+            mMapBatch.emplace_back(
                 *va + static_cast<VirtAddr>(i) * mConfig.chunkSize,
                 block->chunks[chunkOffset + i]);
         }
-        const Status s = mDevice.memMapBatch(mScratch->mapBatch);
+        const Status s = mDevice.memMapBatch(mMapBatch);
         if (!s.ok()) {
             // memMapBatch is atomic on error: nothing was installed,
             // so only the fresh reservation needs undoing. The
@@ -326,15 +316,15 @@ GMLakeAllocator::stitch(const std::vector<PBlock *> &members,
     // chunk, but the mapping table validates once and splices one
     // extent instead of per-chunk tree inserts. The sBlock never
     // creates physical chunks (paper Section 3.3.1).
-    mScratch->mapBatch.clear();
+    mMapBatch.clear();
     VirtAddr cursor = *va;
     for (const PBlock *m : members) {
         for (PhysHandle h : m->chunks) {
-            mScratch->mapBatch.emplace_back(cursor, h);
+            mMapBatch.emplace_back(cursor, h);
             cursor += mConfig.chunkSize;
         }
     }
-    const Status mapped = mDevice.memMapBatch(mScratch->mapBatch);
+    const Status mapped = mDevice.memMapBatch(mMapBatch);
     if (!mapped.ok()) {
         // Atomic batch: no mapping was installed. Undo the fresh VA
         // reservation and stop — members, their own mappings, and
@@ -546,13 +536,13 @@ GMLakeAllocator::ensureResident(PBlock *block)
     // stitched structures were never torn down, so this is the
     // "no data-copy for re-stitch" path: mapping cost only.
     auto remapAt = [&](VirtAddr base) -> Status {
-        mScratch->mapBatch.clear();
+        mMapBatch.clear();
         for (std::size_t i = 0; i < chunkCount; ++i) {
-            mScratch->mapBatch.emplace_back(
+            mMapBatch.emplace_back(
                 base + static_cast<VirtAddr>(i) * mConfig.chunkSize,
                 block->chunks[i]);
         }
-        const Status s = mDevice.memMapBatch(mScratch->mapBatch);
+        const Status s = mDevice.memMapBatch(mMapBatch);
         if (!s.ok())
             return s; // atomic: nothing was installed at @p base
         const Status acc = mDevice.memSetAccess(base, block->size);
@@ -833,7 +823,6 @@ GMLakeAllocator::allocateImpl(Bytes size, StreamId stream)
         return makeError(Errc::invalidValue,
                          "cannot allocate on the sentinel stream");
     mDevice.chargeCachedOp();
-    mScratch = &arenaFor(stream);
 
     if (size < mConfig.smallThreshold) {
         ++mCounters.smallPath;
@@ -1003,11 +992,11 @@ GMLakeAllocator::allocateLargeInner(Bytes size, StreamId stream,
         auto fit = bestFitOverPools(rounded, mInactiveS,
                                     mInactivePFree, fragLimit,
                                     sEligible, pEligible,
-                                    mScratch->fitCandidates);
+                                    mFitCandidates);
         if (fit.state == FitState::insufficient) {
             fit = bestFitOverPools(rounded, mInactiveS, mInactiveP,
                                    fragLimit, sEligible, pEligible,
-                                   mScratch->fitCandidates);
+                                   mFitCandidates);
         }
 
         switch (fit.state) {
@@ -1033,7 +1022,7 @@ GMLakeAllocator::allocateLargeInner(Bytes size, StreamId stream,
                 mStats.onAllocate(s->size);
                 return alloc::Allocation{id, size, s->va};
             }
-            PBlock *p = mScratch->fitCandidates.front();
+            PBlock *p = mFitCandidates.front();
             markPActive(p, true);
             if (const Status st = ensureResident(p); !st.ok()) {
                 markPActive(p, false);
@@ -1050,7 +1039,7 @@ GMLakeAllocator::allocateLargeInner(Bytes size, StreamId stream,
           case FitState::singleBlock: {
             ++mCounters.s2SingleBlock;
             notePhase(obs::AllocPhase::s2SingleBlock, rounded);
-            PBlock *p = mScratch->fitCandidates.front();
+            PBlock *p = mFitCandidates.front();
             {
                 // The block is still inactive while it is restored,
                 // so suspend cache trimming around the fault-in.
@@ -1088,7 +1077,7 @@ GMLakeAllocator::allocateLargeInner(Bytes size, StreamId stream,
             notePhase(obs::AllocPhase::s3MultiBlocks, rounded);
             // The candidates already are the member pointers; the
             // scratch vector doubles as the stitch member list.
-            std::vector<PBlock *> &members = mScratch->fitCandidates;
+            std::vector<PBlock *> &members = mFitCandidates;
             {
                 // Fault in any spilled member before the stitch maps
                 // its chunks; trimming is suspended so one member's
@@ -1137,7 +1126,7 @@ GMLakeAllocator::allocateLargeInner(Bytes size, StreamId stream,
           case FitState::insufficient: {
             ++mCounters.s4Insufficient;
             notePhase(obs::AllocPhase::s4Insufficient, rounded);
-            std::vector<PBlock *> &members = mScratch->fitCandidates;
+            std::vector<PBlock *> &members = mFitCandidates;
             Bytes have = fit.candidateBytes;
             if (!mConfig.enableStitching) {
                 members.clear();

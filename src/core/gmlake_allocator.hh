@@ -293,26 +293,13 @@ class GMLakeAllocator : public alloc::Allocator
     std::set<SBlock *, SBlockCmp> mInactiveS;
 
     /**
-     * Per-stream scratch arena for the hot-path temporaries: the
-     * BestFit candidate set (cleared by every search) and the
-     * batched cuMemMap staging buffer (stitch/split/fault-in). Sized
-     * once, so the steady-state hot path performs no heap
-     * allocation. Co-located sessions replay on disjoint stream
-     * ranges; keying the scratch by stream gives each of them
-     * reuse-stable buffers instead of one shared pair every
-     * interleaved request would resize.
+     * Reusable scratch for the BestFit candidate set: cleared by
+     * every search, sized once, so the steady-state hot path
+     * performs no heap allocation.
      */
-    struct ScratchArena
-    {
-        std::vector<PBlock *> fitCandidates;
-        std::vector<std::pair<VirtAddr, PhysHandle>> mapBatch;
-    };
-    std::unordered_map<StreamId, ScratchArena> mArenas;
-    /** Arena of the stream the current entry point serves. */
-    ScratchArena *mScratch = nullptr;
-
-    /** Arena for @p stream, created (and pre-sized) on first use. */
-    ScratchArena &arenaFor(StreamId stream);
+    std::vector<PBlock *> mFitCandidates;
+    /** Reusable scratch for batched cuMemMap calls (stitch/split). */
+    std::vector<std::pair<VirtAddr, PhysHandle>> mMapBatch;
 
     /** Live allocations: id -> target block (exactly one non-null). */
     struct Live

@@ -44,6 +44,7 @@ Ledger::build(const RecorderSnapshot &snap)
     };
     std::unordered_map<std::uint64_t, Scope> scopes;
     Ledger ledger;
+    ledger.mDropped = snap.dropped;
     std::unordered_map<std::uint64_t, std::size_t> openBinding;
 
     // Pass 1: aggregate per-token scopes. The `alloc` span is
@@ -188,7 +189,8 @@ Ledger::reportBinding(std::ostream &out,
         << formatBytes(binding.bytes) << ", bound at "
         << formatTime(binding.boundAt);
     if (binding.freedAt == ~std::uint64_t{0})
-        out << ", still live";
+        out << (mDropped != 0 ? ", no free in the recorded prefix"
+                              : ", still live");
     else
         out << ", freed at " << formatTime(binding.freedAt);
     out << "\n";
@@ -220,12 +222,23 @@ Ledger::reportBinding(std::ostream &out,
 }
 
 void
+Ledger::reportPartial(std::ostream &out) const
+{
+    if (mDropped != 0)
+        out << "PARTIAL: " << mDropped
+            << " events dropped; answers cover the recorded prefix "
+               "only\n";
+}
+
+void
 Ledger::reportTensor(std::ostream &out, std::uint64_t tensor) const
 {
+    reportPartial(out);
     const auto bindings = this->tensor(tensor);
     if (bindings.empty()) {
         out << "tensor " << tensor
-            << ": never bound in this run\n";
+            << (mDropped != 0 ? ": not in the recorded prefix\n"
+                              : ": never bound in this run\n");
         return;
     }
     out << "tensor " << tensor << ": " << bindings.size()
@@ -237,6 +250,7 @@ Ledger::reportTensor(std::ostream &out, std::uint64_t tensor) const
 void
 Ledger::reportAt(std::ostream &out, std::uint64_t tick) const
 {
+    reportPartial(out);
     const auto live = liveAt(tick);
     out << "at " << formatTime(tick) << ": " << live.size()
         << " live tensor(s)\n";

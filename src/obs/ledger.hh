@@ -19,6 +19,11 @@
  * were obtained (fresh reserve, cache reuse, stitch of N, …),
  * whether it was remapped after a spill, and what the allocation
  * cost in device-API time.
+ *
+ * A recorder that hit its buffer bounds keeps only a prefix of the
+ * run. The ledger remembers how many events were dropped, and every
+ * report then opens with a PARTIAL line and words its answers as
+ * covering the recorded prefix only.
  */
 
 #ifndef GMLAKE_OBS_LEDGER_HH
@@ -87,6 +92,8 @@ class Ledger
         std::uint64_t tick) const;
 
     std::size_t allocCount() const { return mAllocs.size(); }
+    /** Events the recorder dropped (0 = the ledger is complete). */
+    std::uint64_t dropped() const { return mDropped; }
     std::size_t bindingCount() const { return mBindings.size(); }
     /** Every allocation with provenance, keyed by alloc id. */
     const std::map<std::uint64_t, AllocProvenance> &allocs() const
@@ -99,6 +106,11 @@ class Ledger
         return mBindings;
     }
 
+    /**
+     * "PARTIAL: N events dropped" line when the recording was
+     * incomplete; nothing otherwise. Every report starts with it.
+     */
+    void reportPartial(std::ostream &out) const;
     /** Human report for `probe --tensor T`. */
     void reportTensor(std::ostream &out,
                       std::uint64_t tensor) const;
@@ -111,6 +123,7 @@ class Ledger
 
     std::map<std::uint64_t, AllocProvenance> mAllocs;
     std::vector<TensorBinding> mBindings;
+    std::uint64_t mDropped = 0;
 };
 
 } // namespace gmlake::obs

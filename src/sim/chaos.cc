@@ -97,7 +97,6 @@ runChaosTrial(const ChaosOptions &options, std::uint64_t trialSeed)
 
         EngineOptions engineOptions;
         engineOptions.recordSeries = false;
-        engineOptions.engineThreads = options.engineThreads;
         engineOptions.abortSessionOnFault = true;
         // Scripted kills: each tenant dies with killChance at an
         // instant uniform over the scenario span — a deterministic
@@ -220,8 +219,7 @@ writeChaosJson(const ChaosReport &report,
         << "\"fault_spec\": \"" << report.faultSpec << "\", "
         << "\"soak\": " << report.trials.size() << ", "
         << "\"iterations\": " << options.iterations << ", "
-        << "\"kill_chance\": " << options.killChance << ", "
-        << "\"engine_threads\": " << options.engineThreads << "},\n"
+        << "\"kill_chance\": " << options.killChance << "},\n"
         << "  \"exit_code\": " << report.exitCode() << ",\n"
         << "  \"failures\": " << report.failures() << ",\n"
         << "  \"total_wall_ns\": " << report.totalWallNs << ",\n"

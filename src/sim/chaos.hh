@@ -49,8 +49,6 @@ struct ChaosOptions
     std::size_t trials = 1;
     /** Scenario scale override; <= 0 keeps the scenario default. */
     int iterations = 0;
-    /** Threads inside each replay (deterministic commit mode). */
-    std::size_t engineThreads = 1;
     /**
      * Per-session probability of a scripted kill, drawn from the
      * trial seed; the kill instant is uniform over the scenario span.

@@ -78,9 +78,6 @@ ScenarioOptions
 ExperimentContext::adjust(ScenarioOptions scenario) const
 {
     scenario.device = adjust(scenario.device);
-    scenario.engine.engineThreads = static_cast<std::size_t>(
-        std::max(0, mOptions.engineThreads));
-    scenario.engine.commitMode = mOptions.engineCommit;
     return scenario;
 }
 
@@ -269,9 +266,6 @@ jsonRecordFields(const RunRecord &r)
         {"faulted_bytes", u(res.faultedBytes)},
         {"stall_ns", u(res.stallNs)},
         {"offload_wall_ns", u(res.offloadWallNs)},
-        {"lock_wait_ns", u(res.lockWaitNs)},
-        {"snapshot_publishes", u(res.snapshotPublishes)},
-        {"commit_stall_ns", u(res.commitStallNs)},
         {"injected_faults", u(res.injectedFaults)},
         {"recovered", u(res.recovered)},
         {"aborted_sessions", u(res.abortedSessions)},
@@ -286,9 +280,7 @@ constexpr const char *kCsvHeader =
     "device_api_time_ns,alloc_wall_ns,alloc_wall_p50_ns,"
     "alloc_wall_p99_ns,run_wall_ns,vmm_wall_ns,"
     "evicted_bytes,faulted_bytes,stall_ns,offload_wall_ns,"
-    "lock_wait_ns,snapshot_publishes,commit_stall_ns,"
-    "injected_faults,recovered,aborted_sessions,rollbacks,"
-    "engine_threads";
+    "injected_faults,recovered,aborted_sessions,rollbacks";
 
 void
 writeCsv(const Experiment &experiment,
@@ -341,14 +333,10 @@ writeCsv(const Experiment &experiment,
             << r.result.faultedBytes << ','
             << r.result.stallNs << ','
             << r.result.offloadWallNs << ','
-            << r.result.lockWaitNs << ','
-            << r.result.snapshotPublishes << ','
-            << r.result.commitStallNs << ','
             << r.result.injectedFaults << ','
             << r.result.recovered << ','
             << r.result.abortedSessions << ','
-            << r.result.rollbacks << ','
-            << context.options().engineThreads << '\n';
+            << r.result.rollbacks << '\n';
     }
 }
 
@@ -370,12 +358,6 @@ writeJson(const Experiment &experiment,
         << ",\n"
         << "  \"device_capacity_override\": "
         << options.deviceCapacity << ",\n"
-        << "  \"engine_threads\": " << options.engineThreads << ",\n"
-        << "  \"engine_commit\": \""
-        << (options.engineCommit == CommitMode::relaxed
-                ? "relaxed"
-                : "deterministic")
-        << "\",\n"
         // Everything a reader needs to reproduce the run: the
         // resolved override set, as one block (the legacy top-level
         // keys above stay for existing consumers).
@@ -384,13 +366,7 @@ writeJson(const Experiment &experiment,
         << "\"iterations\": " << options.iterations << ", "
         << "\"device_capacity_bytes\": " << options.deviceCapacity
         << ", "
-        << "\"threads\": " << options.threads << ", "
-        << "\"engine_threads\": " << options.engineThreads << ", "
-        << "\"engine_commit\": \""
-        << (options.engineCommit == CommitMode::relaxed
-                ? "relaxed"
-                : "deterministic")
-        << "\"},\n"
+        << "\"threads\": " << options.threads << "},\n"
         << "  \"records\": [";
     bool first = true;
     for (const RunRecord &r : context.records()) {
@@ -565,15 +541,6 @@ try {
                 << "  --seed N         override the workload seed\n"
                 << "  --threads N      worker threads for cluster "
                    "scenarios (0 = all cores)\n"
-                << "  --engine-threads N\n"
-                << "                   worker threads inside each "
-                   "engine run (0 = all\n"
-                << "                   cores); deterministic mode "
-                   "keeps results identical\n"
-                << "  --engine-commit MODE\n"
-                << "                   deterministic (default) or "
-                   "relaxed commit order\n"
-                << "                   for parallel engine runs\n"
                 << "  --csv [FILE]     append run records as CSV\n"
                 << "  --json [FILE]    write the report as JSON\n"
                 << "  --timeline FILE  record the runs and write a "
@@ -608,21 +575,6 @@ try {
         } else if (flag == "--threads") {
             options.experiment.threads = static_cast<int>(
                 parseUnsigned("--threads", need(i), 4096));
-        } else if (flag == "--engine-threads") {
-            options.experiment.engineThreads = static_cast<int>(
-                parseUnsigned("--engine-threads", need(i), 4096));
-        } else if (flag == "--engine-commit") {
-            const std::string mode = need(i);
-            if (mode == "deterministic") {
-                options.experiment.engineCommit =
-                    CommitMode::deterministic;
-            } else if (mode == "relaxed") {
-                options.experiment.engineCommit = CommitMode::relaxed;
-            } else {
-                GMLAKE_FATAL("flag --engine-commit accepts "
-                             "'deterministic' or 'relaxed', got '",
-                             mode, "'");
-            }
         } else if (flag == "--csv") {
             const char *path = optional(i);
             options.csvPath =

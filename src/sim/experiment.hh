@@ -47,15 +47,6 @@ struct ExperimentOptions
      */
     int threads = 1;
     /**
-     * Worker threads *inside* each engine run (sim/session.hh):
-     * 1 = serial replay, N > 1 = parallel in-device replay, 0 = one
-     * per hardware thread. In the default deterministic commit mode
-     * results are identical at any thread count.
-     */
-    int engineThreads = 1;
-    /** Commit order of parallel engine runs (see CommitMode). */
-    CommitMode engineCommit = CommitMode::deterministic;
-    /**
      * Write auxiliary plotting files (e.g. fig14's full-series
      * CSVs). Off by default so smoke runs and tests leave no stray
      * files; runExperiment() enables it when --csv is requested.

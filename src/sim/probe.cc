@@ -23,12 +23,10 @@ void
 reportSummary(std::ostream &out, const obs::RecorderSnapshot &snap,
               const obs::Ledger &ledger, std::size_t topAllocs)
 {
+    ledger.reportPartial(out);
     out << "ledger: " << ledger.allocCount() << " allocation(s), "
         << ledger.bindingCount() << " tensor binding(s), "
-        << snap.events.size() << " event(s)";
-    if (snap.dropped != 0)
-        out << " (" << snap.dropped << " dropped)";
-    out << "\n";
+        << snap.events.size() << " event(s)\n";
 
     // Most device-expensive allocations first: where stitching,
     // spilling or fresh reserves actually cost device time.
@@ -75,7 +73,6 @@ runProbe(const ProbeOptions &options, std::ostream &out)
         makeAllocator(options.kind, device, scenario.base);
     EngineOptions engineOptions;
     engineOptions.recordSeries = false;
-    engineOptions.engineThreads = options.engineThreads;
     SimEngine engine(*allocator, device, engineOptions);
     for (std::size_t i = 0; i < scenario.traces.size(); ++i) {
         engine.addSession(Session(scenario.sessionNames[i],

@@ -214,7 +214,7 @@ class SimEngine
      * Inject a captured SessionSeed into session @p index before the
      * run: the session resumes with the seed's local time, live
      * tensors, seen streams and death flag instead of a cold start.
-     * Call after addSession, before run(); deterministic mode only.
+     * Call after addSession, before run().
      * The allocator ids in the seed must be live in the allocator —
      * restore the matching alloc::Checkpoint first.
      */
@@ -230,25 +230,6 @@ class SimEngine
     MultiRunResult run(const workload::TrainConfig *config = nullptr);
 
   private:
-    /**
-     * Serial-order replay: the committer (calling thread) executes
-     * all events in (localTime, sessionIndex) order; with
-     * @p stagerThreads >= 2 each session gets a stager thread
-     * pre-pulling its source through a bounded StageBuffer
-     * (decision-identical to serial, see sim/stage_queue.hh).
-     */
-    MultiRunResult runMerged(const workload::TrainConfig *config,
-                             std::size_t stagerThreads);
-
-    /**
-     * Contention-measuring replay: @p workers threads each own a
-     * disjoint subset of sessions and replay them concurrently
-     * against the shared allocator/device. Not digest-comparable to
-     * deterministic runs; see CommitMode::relaxed.
-     */
-    MultiRunResult runRelaxed(const workload::TrainConfig *config,
-                              std::size_t workers);
-
     alloc::Allocator &mAllocator;
     vmm::Device &mDevice;
     EngineOptions mOptions;

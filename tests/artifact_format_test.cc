@@ -85,9 +85,7 @@ TEST(ArtifactFormat, CsvHeaderIsPinned)
         "device_api_time_ns,alloc_wall_ns,alloc_wall_p50_ns,"
         "alloc_wall_p99_ns,run_wall_ns,vmm_wall_ns,"
         "evicted_bytes,faulted_bytes,stall_ns,offload_wall_ns,"
-        "lock_wait_ns,snapshot_publishes,commit_stall_ns,"
-        "injected_faults,recovered,aborted_sessions,rollbacks,"
-        "engine_threads");
+        "injected_faults,recovered,aborted_sessions,rollbacks");
 }
 
 TEST(ArtifactFormat, JsonRecordKeysArePinned)
@@ -114,9 +112,6 @@ TEST(ArtifactFormat, JsonRecordKeysArePinned)
         "faulted_bytes",
         "stall_ns",
         "offload_wall_ns",
-        "lock_wait_ns",
-        "snapshot_publishes",
-        "commit_stall_ns",
         "injected_faults",
         "recovered",
         "aborted_sessions",
@@ -148,8 +143,6 @@ TEST(ArtifactFormat, SweepJsonKeysArePinned)
         "iterations",
         "device_capacity_bytes",
         "threads",
-        "engine_threads",
-        "engine_commit",
         "warm_start",
         "split_time_ns",
         "warmup",
@@ -201,7 +194,6 @@ TEST(ArtifactFormat, ChaosJsonKeysArePinned)
         "soak",
         "iterations",
         "kill_chance",
-        "engine_threads",
         "exit_code",
         "failures",
         "total_wall_ns",

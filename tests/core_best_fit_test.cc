@@ -16,12 +16,105 @@
 
 using namespace gmlake;
 using namespace gmlake::literals;
-using core::bestFit;
 using core::FitState;
 
 namespace
 {
 constexpr Bytes kNoLimit = 0;
+
+/** One size-list entry, carrying its original index. */
+struct SizedEntry
+{
+    Bytes size = 0;
+    std::size_t index = 0;
+};
+
+/**
+ * Gives a descending size list the pool interface bestFitOverPools
+ * needs (pointer-like iteration + lower_bound).
+ */
+class SizeListPool
+{
+  public:
+    SizeListPool(const std::vector<Bytes> &sizes, const char *what)
+    {
+        mEntries.reserve(sizes.size());
+        for (std::size_t i = 0; i < sizes.size(); ++i) {
+            GMLAKE_ASSERT(i == 0 || sizes[i] <= sizes[i - 1],
+                          what, " sizes must be sorted descending");
+            mEntries.push_back(SizedEntry{sizes[i], i});
+        }
+        mRefs.reserve(mEntries.size());
+        for (const SizedEntry &e : mEntries)
+            mRefs.push_back(&e);
+    }
+
+    using value_type = const SizedEntry *;
+
+    auto begin() const { return mRefs.begin(); }
+    auto end() const { return mRefs.end(); }
+
+    /** First entry whose size is <= @p size (descending order). */
+    auto
+    lower_bound(Bytes size) const
+    {
+        return std::lower_bound(
+            mRefs.begin(), mRefs.end(), size,
+            [](const SizedEntry *e, Bytes b) { return e->size > b; });
+    }
+
+  private:
+    std::vector<SizedEntry> mEntries;
+    std::vector<const SizedEntry *> mRefs;
+};
+
+/** Index-based result of the size-list search. */
+struct FitResult
+{
+    FitState state = FitState::insufficient;
+    /** S1 only: true when the exact match is an sBlock. */
+    bool useSBlock = false;
+    /** S1 with useSBlock: index into the sBlock size list. */
+    std::size_t sIndex = 0;
+    /** Candidate indices into the pBlock size list (all states). */
+    std::vector<std::size_t> pIndices;
+    /** Total size of the candidates in pIndices. */
+    Bytes candidateBytes = 0;
+};
+
+/**
+ * Algorithm 1 over plain size lists (every block eligible): the
+ * pure-function surface the cases below exercise exhaustively.
+ *
+ * @param sBlockSizes inactive sBlock sizes, descending
+ * @param pBlockSizes inactive pBlock sizes, descending
+ */
+FitResult
+bestFit(Bytes bSize, const std::vector<Bytes> &sBlockSizes,
+        const std::vector<Bytes> &pBlockSizes, Bytes fragLimit)
+{
+    const SizeListPool sPool(sBlockSizes, "sBlock");
+    const SizeListPool pPool(pBlockSizes, "pBlock");
+    std::vector<const SizedEntry *> candidates;
+    const auto fit = core::bestFitOverPools(
+        bSize, sPool, pPool, fragLimit,
+        [](const SizedEntry *) { return true; },
+        [](const SizedEntry *) { return true; }, candidates);
+
+    FitResult result;
+    result.state = fit.state;
+    result.candidateBytes = fit.candidateBytes;
+    if (fit.sBlock != nullptr) {
+        result.useSBlock = true;
+        result.sIndex = fit.sBlock->index;
+        return result;
+    }
+    result.pIndices.reserve(candidates.size());
+    for (const SizedEntry *e : candidates)
+        result.pIndices.push_back(e->index);
+    return result;
+}
+
 } // namespace
 
 TEST(BestFit, ExactMatchPrefersSBlock)

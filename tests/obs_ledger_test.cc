@@ -206,6 +206,69 @@ TEST(ObsLedger, ReportsNameUnknownProvenance)
     EXPECT_NE(missing.str().find("never bound"), std::string::npos);
 }
 
+TEST(ObsLedger, DroppedEventsMakeEveryReportPartial)
+{
+    // A ring of three events keeps the first three of the five below
+    // and drops the rest: tensor 3's bind and tensor 1's free are
+    // lost. Without the drop count the ledger would call tensor 3
+    // "never bound" and tensor 1 "still live" — both wrong.
+    RecorderOptions options;
+    options.ringCapacity = 3;
+    Recorder rec(options);
+    rec.beginRun("r");
+    const std::uint32_t track = rec.track("engine");
+    rec.instant(EvName::tensorBind, EventCat::engine, track, 100, 1,
+                7, 4 << 20);
+    rec.instant(EvName::tensorBind, EventCat::engine, track, 200, 2,
+                8, 2 << 20);
+    rec.instant(EvName::tensorFree, EventCat::engine, track, 250, 2,
+                8);
+    rec.instant(EvName::tensorBind, EventCat::engine, track, 300, 3,
+                9, 1 << 20);
+    rec.instant(EvName::tensorFree, EventCat::engine, track, 400, 1,
+                7);
+
+    const RecorderSnapshot snap = rec.snapshot();
+    ASSERT_EQ(snap.dropped, 2u);
+    const Ledger ledger = Ledger::build(snap);
+    EXPECT_EQ(ledger.dropped(), 2u);
+
+    const std::string partial = "PARTIAL: 2 events dropped";
+    auto startsPartial = [&](const std::string &text) {
+        return text.rfind(partial, 0) == 0;
+    };
+
+    std::ostringstream missing;
+    ledger.reportTensor(missing, 3);
+    EXPECT_TRUE(startsPartial(missing.str())) << missing.str();
+    EXPECT_NE(missing.str().find("not in the recorded prefix"),
+              std::string::npos)
+        << missing.str();
+    EXPECT_EQ(missing.str().find("never bound"), std::string::npos);
+
+    std::ostringstream bound;
+    ledger.reportTensor(bound, 1);
+    EXPECT_TRUE(startsPartial(bound.str())) << bound.str();
+    EXPECT_EQ(bound.str().find("still live"), std::string::npos)
+        << bound.str();
+    EXPECT_NE(bound.str().find("no free in the recorded prefix"),
+              std::string::npos)
+        << bound.str();
+
+    std::ostringstream at;
+    ledger.reportAt(at, 350);
+    EXPECT_TRUE(startsPartial(at.str())) << at.str();
+
+    // A complete recording stays unmarked.
+    Recorder full;
+    full.beginRun("r");
+    const Ledger complete = Ledger::build(full.snapshot());
+    EXPECT_EQ(complete.dropped(), 0u);
+    std::ostringstream clean;
+    complete.reportAt(clean, 0);
+    EXPECT_EQ(clean.str().find("PARTIAL"), std::string::npos);
+}
+
 TEST(ObsLedger, OriginLabels)
 {
     AllocProvenance p;

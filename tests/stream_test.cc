@@ -139,6 +139,90 @@ TEST(StreamCaching, SentinelStreamRejected)
               Errc::invalidValue);
 }
 
+TEST(StreamCaching, CrossStreamBestFitOrderIsPinned)
+{
+    // The pool walks stream tags in ascending order, then sizes, then
+    // addresses; a candidate must be strictly smaller to replace the
+    // running best. Each block below is a whole 2 MiB-rounded segment,
+    // so a hit shows up as a reused address and no new cudaMalloc.
+
+    // Two same-size usable blocks: the lower tag wins, even though
+    // its block has the higher address.
+    {
+        vmm::Device dev(smallDevice());
+        alloc::CachingAllocator alloc(dev);
+        const auto onTwo = alloc.allocate(30_MiB, 2);
+        const auto onOne = alloc.allocate(30_MiB, 1);
+        ASSERT_TRUE(onTwo.ok() && onOne.ok());
+        ASSERT_LT(onTwo->addr, onOne->addr);
+        ASSERT_TRUE(alloc.deallocate(onTwo->id).ok());
+        ASSERT_TRUE(alloc.deallocate(onOne->id).ok());
+        dev.clock().advance(kLag);
+        const auto got = alloc.allocate(30_MiB, 3);
+        ASSERT_TRUE(got.ok());
+        EXPECT_EQ(got->addr, onOne->addr);
+        alloc.checkConsistency();
+    }
+
+    // A smaller usable block under a higher tag beats a larger one
+    // under a lower tag: size decides across tags.
+    {
+        vmm::Device dev(smallDevice());
+        alloc::CachingAllocator alloc(dev);
+        const auto large = alloc.allocate(40_MiB, 1);
+        const auto small = alloc.allocate(30_MiB, 2);
+        ASSERT_TRUE(large.ok() && small.ok());
+        ASSERT_TRUE(alloc.deallocate(large->id).ok());
+        ASSERT_TRUE(alloc.deallocate(small->id).ok());
+        dev.clock().advance(kLag);
+        const auto got = alloc.allocate(30_MiB, 3);
+        ASSERT_TRUE(got.ok());
+        EXPECT_EQ(got->addr, small->addr);
+        EXPECT_EQ(dev.counters().mallocNative, 2u);
+    }
+
+    // A foreign-stream block still inside its event lag is skipped,
+    // even when it is the tighter fit.
+    {
+        vmm::Device dev(smallDevice());
+        alloc::CachingAllocator alloc(dev);
+        const auto own = alloc.allocate(40_MiB, 1);
+        const auto foreign = alloc.allocate(30_MiB, 2);
+        ASSERT_TRUE(own.ok() && foreign.ok());
+        ASSERT_TRUE(alloc.deallocate(own->id).ok());
+        dev.clock().advance(kLag);
+        ASSERT_TRUE(alloc.deallocate(foreign->id).ok());
+        const auto got = alloc.allocate(30_MiB, 1);
+        ASSERT_TRUE(got.ok());
+        EXPECT_EQ(got->addr, own->addr);
+        EXPECT_EQ(dev.counters().mallocNative, 2u);
+        alloc.checkConsistency();
+    }
+
+    // max_split_size: an oversize block may serve a request only
+    // when the leftover stays within largeBuffer (20 MiB).
+    {
+        vmm::Device dev(smallDevice());
+        alloc::CachingConfig cc;
+        cc.maxSplitSize = 32_MiB;
+        alloc::CachingAllocator alloc(dev, cc);
+        const auto big = alloc.allocate(100_MiB, 1);
+        ASSERT_TRUE(big.ok());
+        ASSERT_TRUE(alloc.deallocate(big->id).ok());
+        // 60 MiB would stay unused: skipped, a new segment is grown.
+        const auto skipped = alloc.allocate(40_MiB, 1);
+        ASSERT_TRUE(skipped.ok());
+        EXPECT_NE(skipped->addr, big->addr);
+        EXPECT_EQ(dev.counters().mallocNative, 2u);
+        // 10 MiB unused: the oversize block is taken whole.
+        const auto taken = alloc.allocate(90_MiB, 1);
+        ASSERT_TRUE(taken.ok());
+        EXPECT_EQ(taken->addr, big->addr);
+        EXPECT_EQ(dev.counters().mallocNative, 2u);
+        alloc.checkConsistency();
+    }
+}
+
 // ------------------------------------------------------- gmlake
 
 TEST(StreamGmlake, CrossStreamExactMatchBlockedUntilEventLapses)

@@ -23,10 +23,6 @@
  * BinaryTraceSource (multi-section files replay as co-located
  * sessions); anything else is parsed as a text trace.
  *
- * The historical bare-flag interface (`gmlake_sim --model ...
- * [--record F | --replay F]`) still parses but emits a deprecation
- * warning and routes through the matching trace verb.
- *
  * Run with --help for the full flag list.
  */
 
@@ -83,10 +79,6 @@ struct Options
     std::string csvPath;
     bool snapshot = false;
 
-    // Legacy spellings of the record/replay verbs.
-    std::string recordPath;
-    std::string replayPath;
-
     bool listModels = false;
     bool help = false;
 };
@@ -96,10 +88,9 @@ struct Options
 /** Which trace verbs a flag applies to. */
 enum FlagGroup : unsigned
 {
-    kWorkloadFlags = 1u << 0, //!< trace run | record (+ legacy)
-    kDeviceFlags = 1u << 1,   //!< trace run | replay (+ legacy)
-    kOutputFlags = 1u << 2,   //!< trace run | replay (+ legacy)
-    kLegacyFlags = 1u << 3,   //!< bare-flag mode only
+    kWorkloadFlags = 1u << 0, //!< trace run | record
+    kDeviceFlags = 1u << 1,   //!< trace run | replay
+    kOutputFlags = 1u << 2,   //!< trace run | replay
 };
 
 unsigned long long
@@ -130,9 +121,9 @@ struct FlagSpec
 };
 
 /**
- * The one option table every trace verb (and the legacy bare-flag
- * mode) parses with; each verb admits the groups that make sense for
- * it and rejects the rest with a pointed error.
+ * The one option table every trace verb parses with; each verb
+ * admits the groups that make sense for it and rejects the rest with
+ * a pointed error.
  */
 const FlagSpec kFlags[] = {
     // Workload selection
@@ -210,14 +201,6 @@ const FlagSpec kFlags[] = {
     {"--snapshot", nullptr, kOutputFlags,
      "print the allocator memory snapshot",
      [](Options &o, const std::string &) { o.snapshot = true; }},
-
-    // Deprecated spellings of the record/replay verbs.
-    {"--record", "FILE", kLegacyFlags,
-     "(deprecated) = trace record FILE",
-     [](Options &o, const std::string &v) { o.recordPath = v; }},
-    {"--replay", "FILE", kLegacyFlags,
-     "(deprecated) = trace replay FILE",
-     [](Options &o, const std::string &v) { o.replayPath = v; }},
 };
 
 const FlagSpec *
@@ -301,13 +284,6 @@ printHelp()
         "      --seed N        override the workload seed\n"
         "      --threads N     worker threads for cluster scenarios\n"
         "                      (0 = all cores; results identical)\n"
-        "      --engine-threads N\n"
-        "                      worker threads inside each engine run\n"
-        "                      (0 = all cores; deterministic mode\n"
-        "                      keeps results identical)\n"
-        "      --engine-commit MODE\n"
-        "                      deterministic (default) or relaxed\n"
-        "                      commit order for parallel runs\n"
         "      --csv [FILE]    append run records as CSV\n"
         "      --json [FILE]   write report (BENCH_<name>.json)\n"
         "      --out FILE      write the JSON report to FILE instead\n"
@@ -362,10 +338,6 @@ printHelp()
     printFlagGroup(kDeviceFlags);
     std::cout << "\nOutput (trace run | replay):\n";
     printFlagGroup(kOutputFlags);
-    std::cout <<
-        "\nDeprecated bare-flag aliases (warn and route to trace "
-        "verbs):\n";
-    printFlagGroup(kLegacyFlags);
 }
 
 // ----------------------------------------------------------- helpers
@@ -691,9 +663,8 @@ cmdList()
         table.addRow({e.name, e.kind, e.title});
     table.print(std::cout);
     std::cout << "\nrun one with: gmlake_sim run <name> "
-                 "[--iterations N] [--threads N] "
-                 "[--engine-threads N] [--csv] [--json] "
-                 "[--out FILE]\n";
+                 "[--iterations N] [--threads N] [--csv] "
+                 "[--json] [--out FILE]\n";
     return 0;
 }
 
@@ -813,7 +784,6 @@ struct SweepCliOptions
     std::string gridSpec;
     std::size_t randomPoints = 0;
     std::size_t threads = 1;
-    std::size_t engineThreads = 1;
     std::uint64_t seed = 42;
     int iterations = 0; //!< 0 = scenario default
     Bytes capacityGiB = 0;
@@ -926,9 +896,6 @@ parseSweepFlags(int argc, char **argv)
         else if (arg == "--threads")
             opt.threads = static_cast<std::size_t>(
                 parseNumber("--threads", value()));
-        else if (arg == "--engine-threads")
-            opt.engineThreads = static_cast<std::size_t>(
-                parseNumber("--engine-threads", value()));
         else if (arg == "--seed")
             opt.seed = parseNumber("--seed", value());
         else if (arg == "--iterations")
@@ -968,7 +935,6 @@ cmdSweep(int argc, char **argv)
             "instead of a grid\n"
             "  --threads N         per-point fork threads "
             "(0 = all cores; results identical)\n"
-            "  --engine-threads N  threads inside each replay\n"
             "  --seed N            workload seed (default 42)\n"
             "  --iterations N      scenario scale override\n"
             "  --capacity GiB      device capacity override\n"
@@ -1008,7 +974,6 @@ cmdSweep(int argc, char **argv)
     options.kind = *kind;
     options.threads = opt.threads;
     options.warmStart = !opt.cold;
-    options.engineThreads = opt.engineThreads;
 
     std::cout << "sweep " << opt.scenario << ": " << points.size()
               << " points, " << (opt.cold ? "cold" : "warm-start")
@@ -1045,7 +1010,6 @@ cmdSweep(int argc, char **argv)
     meta.iterations = opt.iterations;
     meta.deviceCapacityBytes = opt.capacityGiB * GiB;
     meta.threads = opt.threads;
-    meta.engineThreads = opt.engineThreads;
     meta.warmStart = !opt.cold;
     meta.splitTimeNs = scenario.splitTime;
     sim::writeSweepJson(report, meta, outPath);
@@ -1065,7 +1029,6 @@ struct ChaosCliOptions
     std::uint64_t seed = 42; //!< workload seed
     std::size_t soak = 1;
     int iterations = 0;
-    std::size_t engineThreads = 1;
     double killChance = 0.25;
     std::string outPath;
     bool help = false;
@@ -1098,9 +1061,6 @@ parseChaosFlags(int argc, char **argv)
         else if (arg == "--iterations")
             opt.iterations = static_cast<int>(
                 parseNumber("--iterations", value()));
-        else if (arg == "--engine-threads")
-            opt.engineThreads = static_cast<std::size_t>(
-                parseNumber("--engine-threads", value()));
         else if (arg == "--kill-chance")
             opt.killChance = parseReal("--kill-chance", value());
         else if (arg == "--out")
@@ -1137,7 +1097,6 @@ cmdChaos(int argc, char **argv)
             "  --allocator A       allocator kind (default gmlake)\n"
             "  --seed N            workload seed (default 42)\n"
             "  --iterations N      scenario scale override\n"
-            "  --engine-threads N  threads inside each replay\n"
             "  --out FILE          report path (default "
             "BENCH_chaos_<scenario>.json)\n"
             "exit codes: 0 clean, 2 tenant OOM, 3 injected-fault "
@@ -1160,7 +1119,6 @@ cmdChaos(int argc, char **argv)
     options.faultSpec = opt.faultSpec;
     options.trials = opt.soak;
     options.iterations = opt.iterations;
-    options.engineThreads = opt.engineThreads;
     options.killChance = opt.killChance;
 
     std::cout << "chaos " << opt.scenario << ": " << opt.soak
@@ -1246,9 +1204,6 @@ cmdProbe(int argc, char **argv)
         else if (arg == "--iterations")
             opt.iterations = static_cast<int>(
                 parseNumber("--iterations", value()));
-        else if (arg == "--engine-threads")
-            opt.engineThreads = static_cast<std::size_t>(
-                parseNumber("--engine-threads", value()));
         else if (arg == "--tensor")
             opt.tensor = parseNumber("--tensor", value());
         else if (arg == "--at")
@@ -1282,7 +1237,6 @@ cmdProbe(int argc, char **argv)
             "  --allocator A       allocator kind (default gmlake)\n"
             "  --seed N            workload seed (default 42)\n"
             "  --iterations N      scenario scale override\n"
-            "  --engine-threads N  threads inside the replay\n"
             "  --timeline FILE     also export the recorded timeline "
             "(Chrome JSON)\n"
             "  --top N             summary lists the top-N "
@@ -1299,46 +1253,6 @@ cmdProbe(int argc, char **argv)
         GMLAKE_FATAL("--tensor and --at are mutually exclusive");
     sim::runProbe(opt, std::cout);
     return 0;
-}
-
-/** Bare-flag invocations: warn, then route to the trace verbs. */
-int
-legacyMain(int argc, char **argv)
-{
-    const Options opt = parseFlags(
-        argc, argv, 1,
-        kWorkloadFlags | kDeviceFlags | kOutputFlags | kLegacyFlags,
-        nullptr);
-    if (opt.help) {
-        printHelp();
-        return 0;
-    }
-    if (opt.listModels)
-        return doListModels();
-
-    const char *target = !opt.recordPath.empty()   ? "trace record"
-                         : !opt.replayPath.empty() ? "trace replay"
-                                                   : "trace run";
-    std::cerr << "gmlake_sim: warning: bare flags are deprecated; "
-                 "use `gmlake_sim "
-              << target << "` (routing there now, see --help)\n";
-
-    if (!opt.recordPath.empty() && !opt.replayPath.empty()) {
-        // Historical convert mode: load then re-save (which now
-        // packs to .gmt when the output asks for it).
-        std::ifstream in(opt.replayPath);
-        if (!in)
-            GMLAKE_FATAL("cannot open trace: ", opt.replayPath);
-        const workload::Trace trace = workload::Trace::load(in);
-        saveTraceTo(trace, opt.recordPath,
-                    sectionNameFor(opt.replayPath));
-        return 0;
-    }
-    if (!opt.recordPath.empty())
-        return doTraceRecord(opt, opt.recordPath);
-    if (!opt.replayPath.empty())
-        return doTraceReplay(opt, opt.replayPath);
-    return doTraceRun(opt);
 }
 
 /**
@@ -1369,7 +1283,8 @@ int
 main(int argc, char **argv)
 try {
     argc = stripGlobalFlags(argc, argv);
-    if (argc < 2) {
+    if (argc < 2 || std::strcmp(argv[1], "--help") == 0 ||
+        std::strcmp(argv[1], "-h") == 0) {
         printHelp();
         return 0;
     }
@@ -1385,8 +1300,6 @@ try {
         return cmdChaos(argc, argv);
     if (std::strcmp(argv[1], "probe") == 0)
         return cmdProbe(argc, argv);
-    if (argv[1][0] == '-')
-        return legacyMain(argc, argv);
     std::cerr << "unknown subcommand: " << argv[1]
               << " (try --help)\n";
     return 1;
