@@ -144,10 +144,8 @@ GMLakeAllocator::releasePBlock(PBlock *block)
     if (block->resident) {
         Status s = mDevice.memUnmap(block->va, block->size);
         GMLAKE_ASSERT(s.ok(), "pBlock unmap failed");
-        for (PhysHandle h : block->chunks) {
-            s = mDevice.memRelease(h);
-            GMLAKE_ASSERT(s.ok(), "pBlock chunk release failed");
-        }
+        s = mDevice.memReleaseBatch(block->chunks);
+        GMLAKE_ASSERT(s.ok(), "pBlock chunk release failed");
         mPhysicalBytes -= block->size;
         mStats.onRelease(block->size);
     } else {
@@ -486,10 +484,8 @@ GMLakeAllocator::spillPBlock(PBlock *block)
                              block->size);
         GMLAKE_ASSERT(s.ok(), "spill sharer unmap failed");
     }
-    for (PhysHandle h : block->chunks) {
-        s = mDevice.memRelease(h);
-        GMLAKE_ASSERT(s.ok(), "spill chunk release failed");
-    }
+    s = mDevice.memReleaseBatch(block->chunks);
+    GMLAKE_ASSERT(s.ok(), "spill chunk release failed");
     block->chunks.clear();
     block->resident = false;
     mSpilledBytes += block->size;
@@ -508,28 +504,33 @@ GMLakeAllocator::ensureResident(PBlock *block)
     if (block->resident)
         return Status::success();
     const std::size_t chunkCount = block->size / mConfig.chunkSize;
-    for (std::size_t i = 0; i < chunkCount; ++i) {
-        auto h = mDevice.memCreate(mConfig.chunkSize);
-        if (!h.ok() && mOffloadHook != nullptr) {
+    // Create the chunks in batches; a failed chunk gets one reclaim
+    // and one retry before the fault-in gives up, as it would in a
+    // loop of single creates.
+    while (block->chunks.size() < chunkCount) {
+        Status created = mDevice.memCreateBatch(
+            mConfig.chunkSize, chunkCount - block->chunks.size(),
+            block->chunks);
+        if (created.ok())
+            break;
+        if (mOffloadHook != nullptr) {
             const Bytes missing =
                 (chunkCount - block->chunks.size()) *
                 mConfig.chunkSize;
             if (mOffloadHook->reclaimOnOom(missing, block->stream) >
                 0) {
-                h = mDevice.memCreate(mConfig.chunkSize);
+                created = mDevice.memCreateBatch(mConfig.chunkSize, 1,
+                                                 block->chunks);
             }
         }
-        if (!h.ok()) {
+        if (!created.ok()) {
             // Roll back: the block stays cleanly spilled.
-            for (PhysHandle created : block->chunks) {
-                const Status rel = mDevice.memRelease(created);
-                GMLAKE_ASSERT(rel.ok(), "fault-in rollback failed");
-            }
+            const Status rel = mDevice.memReleaseBatch(block->chunks);
+            GMLAKE_ASSERT(rel.ok(), "fault-in rollback failed");
             block->chunks.clear();
             noteRollback();
-            return h.error();
+            return created;
         }
-        block->chunks.push_back(*h);
     }
 
     // Remap under the block's own VA and every sharer VA. The
@@ -580,10 +581,8 @@ GMLakeAllocator::ensureResident(PBlock *block)
                 block->size);
             GMLAKE_ASSERT(s.ok(), "fault-in rollback unmap failed");
         }
-        for (PhysHandle created : block->chunks) {
-            const Status rel = mDevice.memRelease(created);
-            GMLAKE_ASSERT(rel.ok(), "fault-in rollback failed");
-        }
+        const Status rel = mDevice.memReleaseBatch(block->chunks);
+        GMLAKE_ASSERT(rel.ok(), "fault-in rollback failed");
         block->chunks.clear();
         noteRollback();
         return remap;

@@ -37,6 +37,8 @@ evName(EvName name)
       case EvName::tensorFree: return "tensorFree";
       case EvName::counterSample: return "counter";
       case EvName::holeHistogram: return "holeHistogram";
+      case EvName::devCreateBatch: return "memCreateBatch";
+      case EvName::devReleaseBatch: return "memReleaseBatch";
       case EvName::count_: break;
     }
     return "?";

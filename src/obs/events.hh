@@ -118,6 +118,12 @@ enum class EvName : std::uint16_t
      *  a2 = hole count. */
     holeHistogram,
 
+    // --- vmm::Device batch spans (cat device) -----------------
+    // Appended so the raw values above stay stable. a0 = chunk
+    // count, a1 = fault errc, a2 = scope token.
+    devCreateBatch,
+    devReleaseBatch,
+
     count_, //!< sentinel, keep last
 };
 

@@ -71,6 +71,8 @@ argNames(EvName name)
         return {"bytes", "fault", "token"};
       case EvName::devUnmap:
       case EvName::devSetAccess:
+      case EvName::devCreateBatch:
+      case EvName::devReleaseBatch:
         return {"chunks", "fault", "token"};
       case EvName::devAddressFree:
       case EvName::devCopyWait:

@@ -120,7 +120,7 @@ void
 Device::charge(Tick t)
 {
     mClock.advance(t);
-    mCounters.apiTime.fetch_add(t, std::memory_order_relaxed);
+    mCounters.apiTime += t;
 }
 
 Expected<VirtAddr>
@@ -157,21 +157,25 @@ Device::memAddressFree(VirtAddr va)
 }
 
 Expected<PhysHandle>
-Device::memCreate(Bytes size)
+Device::createChunk(Bytes size)
 {
     ++mCounters.create;
-    const WallScope wall(mCounters);
-    ObsApiSpan span(obs::EvName::devCreate, mClock);
-    span.arg(size);
     charge(mCost.memCreate(size));
     if (mFaults) {
         applyCapacityLoss();
-        if (auto err = mFaults->onCall(FaultApi::memCreate)) {
-            span.fault(*err);
+        if (auto err = mFaults->onCall(FaultApi::memCreate))
             return *err;
-        }
     }
-    auto handle = mPhys.create(size);
+    return mPhys.create(size);
+}
+
+Expected<PhysHandle>
+Device::memCreate(Bytes size)
+{
+    const WallScope wall(mCounters);
+    ObsApiSpan span(obs::EvName::devCreate, mClock);
+    span.arg(size);
+    auto handle = createChunk(size);
     if (!handle.ok())
         span.fault(handle.error());
     return handle;
@@ -185,6 +189,55 @@ Device::memRelease(PhysHandle handle)
     const ObsApiSpan span(obs::EvName::devRelease, mClock);
     charge(mCost.memRelease());
     return mPhys.release(handle);
+}
+
+Status
+Device::memCreateBatch(Bytes size, std::size_t count,
+                       std::vector<PhysHandle> &out)
+{
+    if (count == 0)
+        return Status::success();
+    const WallScope wall(mCounters);
+    ObsApiSpan span(obs::EvName::devCreateBatch, mClock);
+    span.arg(count);
+    if (mFaults) {
+        // Capacity losses and fault draws interleave with the
+        // creates exactly as in a loop of memCreate() calls.
+        for (std::size_t i = 0; i < count; ++i) {
+            const auto handle = createChunk(size);
+            if (!handle.ok()) {
+                span.fault(handle.error());
+                return handle.error();
+            }
+            out.push_back(*handle);
+        }
+        return Status::success();
+    }
+    const std::size_t before = out.size();
+    const Status s = mPhys.createBatch(size, count, out);
+    // One simulated driver call per chunk, through the failing one.
+    const std::size_t calls = out.size() - before + (s.ok() ? 0 : 1);
+    mCounters.create += calls;
+    charge(mCost.memCreate(size) * static_cast<Tick>(calls));
+    if (!s.ok())
+        span.fault(s.error());
+    return s;
+}
+
+Status
+Device::memReleaseBatch(std::span<const PhysHandle> handles)
+{
+    if (handles.empty())
+        return Status::success();
+    const WallScope wall(mCounters);
+    ObsApiSpan span(obs::EvName::devReleaseBatch, mClock);
+    span.arg(handles.size());
+    mCounters.release += handles.size();
+    charge(mCost.memRelease() * static_cast<Tick>(handles.size()));
+    const Status s = mPhys.releaseBatch(handles);
+    if (!s.ok())
+        span.fault(s.error());
+    return s;
 }
 
 Status
@@ -241,6 +294,7 @@ Device::memMapBatch(
     Tick total = 0;
     std::size_t calls = 0;
     Bytes lastSize = 0;
+    Tick lastCost = 0; // memMap(lastSize), priced once per size run
     Status bad = Status::success();
     for (const auto &[va, handle] : batch) {
         ++calls;
@@ -250,8 +304,11 @@ Device::memMapBatch(
             bad = size.error();
             break;
         }
-        lastSize = *size;
-        total += mCost.memMap(lastSize);
+        if (*size != lastSize) {
+            lastSize = *size;
+            lastCost = mCost.memMap(lastSize);
+        }
+        total += lastCost;
         if (!isAligned(va, granularity())) {
             bad = makeError(Errc::invalidValue,
                             "cuMemMap target not granularity "
@@ -288,10 +345,11 @@ Device::memUnmap(VirtAddr va, Bytes size)
     ++mCounters.unmap;
     const WallScope wall(mCounters);
     ObsApiSpan span(obs::EvName::devUnmap, mClock);
-    const auto stats = mMap.rangeStats(va, size);
+    MappingTable::RangeStats stats;
+    const Status s = mMap.unmap(va, size, stats);
     span.arg(stats.chunks);
     charge(mCost.memUnmap(stats.chunks == 0 ? 1 : stats.chunks));
-    return mMap.unmap(va, size);
+    return s;
 }
 
 Status
@@ -307,17 +365,18 @@ Device::memSetAccess(VirtAddr va, Bytes size)
             return *err;
         }
     }
-    const auto stats = mMap.rangeStats(va, size);
+    MappingTable::RangeStats stats;
+    const Status s = mMap.setAccess(va, size, stats);
     span.arg(stats.chunks);
     if (stats.chunks == 0) {
+        // Rejected as unmapped.
         charge(mCost.memSetAccess(1, granularity()));
-        return makeError(Errc::notMapped,
-                         "cuMemSetAccess over an unmapped range");
+        return s;
     }
     // Charge per covered chunk, using the average chunk size.
     charge(mCost.memSetAccess(stats.chunks,
                               stats.bytes / stats.chunks));
-    return mMap.setAccess(va, size);
+    return s;
 }
 
 Expected<VirtAddr>

@@ -7,6 +7,7 @@
  *
  *   memAddressReserve / memAddressFree   (cuMemAddressReserve/Free)
  *   memCreate / memRelease               (cuMemCreate/Release)
+ *   memCreateBatch / memReleaseBatch     (loops of the above)
  *   memMap / memUnmap                    (cuMemMap/Unmap)
  *   memSetAccess                         (cuMemSetAccess)
  *   mallocNative / freeNative            (cudaMalloc/cudaFree)
@@ -19,7 +20,6 @@
 #ifndef GMLAKE_VMM_DEVICE_HH
 #define GMLAKE_VMM_DEVICE_HH
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -48,37 +48,9 @@ struct DeviceConfig
     CostParams cost{};
 };
 
-/**
- * Per-API invocation counters, for overhead analysis. Copyable
- * despite the atomic member (the copy is a relaxed load).
- */
+/** Per-API invocation counters, for overhead analysis. */
 struct ApiCounters
 {
-    ApiCounters() = default;
-    ApiCounters(const ApiCounters &other) { *this = other; }
-    ApiCounters &
-    operator=(const ApiCounters &other)
-    {
-        addressReserve = other.addressReserve;
-        addressFree = other.addressFree;
-        create = other.create;
-        release = other.release;
-        map = other.map;
-        unmap = other.unmap;
-        setAccess = other.setAccess;
-        mallocNative = other.mallocNative;
-        freeNative = other.freeNative;
-        d2hCopies = other.d2hCopies;
-        h2dCopies = other.h2dCopies;
-        d2hBytes = other.d2hBytes;
-        h2dBytes = other.h2dBytes;
-        copyStallNs = other.copyStallNs;
-        apiTime.store(other.apiTime.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-        vmmWallNs = other.vmmWallNs;
-        return *this;
-    }
-
     std::uint64_t addressReserve = 0;
     std::uint64_t addressFree = 0;
     std::uint64_t create = 0;
@@ -95,12 +67,8 @@ struct ApiCounters
     std::uint64_t h2dBytes = 0;
     /** Simulated ns the clock stalled waiting on copy completions. */
     Tick copyStallNs = 0;
-    /**
-     * Simulated nanoseconds spent inside device API calls. Atomic
-     * only because existing readers call load() on it; the device
-     * itself is single-threaded.
-     */
-    std::atomic<Tick> apiTime{0};
+    /** Simulated nanoseconds spent inside device API calls. */
+    Tick apiTime = 0;
     /**
      * Host wall-clock nanoseconds spent inside the device's
      * memory-management entry points (everything touching the VA
@@ -133,6 +101,28 @@ class Device
 
     /** Release a chunk handle; fails while it is mapped anywhere. */
     Status memRelease(PhysHandle handle);
+
+    /**
+     * Create up to @p count chunk handles of @p size bytes, appending
+     * them to @p out. Models a loop of memCreate() that stops at its
+     * first failure: each chunk through the failing one is counted,
+     * charged and (with an injector installed) run past the capacity
+     * losses and the memCreate fault draw, in loop order. On error
+     * the handles created before the failure stay in @p out. The
+     * host pays for one call: whole runs of chunks are carved from
+     * each free hole at once.
+     */
+    Status memCreateBatch(Bytes size, std::size_t count,
+                          std::vector<PhysHandle> &out);
+
+    /**
+     * Release every handle of @p handles. Each one is counted and
+     * charged as a memRelease() call, but the batch validates every
+     * handle before releasing any: on error none is released.
+     * Physically contiguous ascending runs return to the free space
+     * as one extent each.
+     */
+    Status memReleaseBatch(std::span<const PhysHandle> handles);
 
     /** Map the whole of @p handle at @p va (inside a reservation). */
     Status memMap(VirtAddr va, PhysHandle handle);
@@ -314,6 +304,11 @@ class Device
     std::vector<PhysHandle> mLostChunks;
 
     void charge(Tick t);
+    /**
+     * One simulated cuMemCreate: count, charge, consult the fault
+     * injector, create. The caller owns the wall scope and span.
+     */
+    Expected<PhysHandle> createChunk(Bytes size);
     /** Realize any capacity loss that has come due. */
     void applyCapacityLoss();
 };

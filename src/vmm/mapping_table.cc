@@ -34,12 +34,52 @@ MappingTable::overlaps(VirtAddr va, Bytes size) const
     return false;
 }
 
+void
+MappingTable::appendChunk(Extent &extent, PhysHandle handle, Bytes size)
+{
+    if (extent.chunks.empty())
+        extent.chunkSize = size;
+    else if (extent.chunkSize != size)
+        extent.chunkSize = 0;
+    extent.chunks.push_back(Chunk{handle, size});
+    extent.size += size;
+}
+
+std::size_t
+MappingTable::chunksStartingBefore(VirtAddr extentVa,
+                                   const Extent &extent, VirtAddr va)
+{
+    if (va <= extentVa)
+        return 0;
+    if (extent.chunkSize != 0) {
+        const Bytes offset = va - extentVa;
+        const std::size_t at = static_cast<std::size_t>(
+            (offset + extent.chunkSize - 1) / extent.chunkSize);
+        return std::min(at, extent.chunks.size());
+    }
+    VirtAddr cursor = extentVa;
+    std::size_t at = 0;
+    while (at < extent.chunks.size() && cursor < va) {
+        cursor += extent.chunks[at].size;
+        ++at;
+    }
+    return at;
+}
+
 std::size_t
 MappingTable::chunkBoundary(VirtAddr extentVa, const Extent &extent,
                             VirtAddr va)
 {
     if (va == extentVa)
         return 0;
+    if (va < extentVa || va > extentVa + extent.size)
+        return kNoBoundary;
+    if (extent.chunkSize != 0) {
+        const Bytes offset = va - extentVa;
+        if (offset % extent.chunkSize != 0)
+            return kNoBoundary; // inside a chunk
+        return static_cast<std::size_t>(offset / extent.chunkSize);
+    }
     VirtAddr cursor = extentVa;
     for (std::size_t i = 0; i < extent.chunks.size(); ++i) {
         cursor += extent.chunks[i].size;
@@ -48,23 +88,27 @@ MappingTable::chunkBoundary(VirtAddr extentVa, const Extent &extent,
         if (cursor > va)
             return kNoBoundary; // inside chunk i
     }
-    return kNoBoundary; // beyond the extent
+    return kNoBoundary; // unreachable: va <= extent end
 }
 
-std::map<VirtAddr, MappingTable::Extent>::iterator
-MappingTable::splitExtent(std::map<VirtAddr, Extent>::iterator it,
-                          std::size_t at)
+MappingTable::ExtentMap::iterator
+MappingTable::splitExtent(ExtentMap::iterator it, std::size_t at)
 {
     Extent &head = it->second;
     GMLAKE_ASSERT(at > 0 && at < head.chunks.size(),
                   "split must leave two non-empty extents");
     Bytes headSize = 0;
-    for (std::size_t i = 0; i < at; ++i)
-        headSize += head.chunks[i].size;
+    if (head.chunkSize != 0) {
+        headSize = static_cast<Bytes>(at) * head.chunkSize;
+    } else {
+        for (std::size_t i = 0; i < at; ++i)
+            headSize += head.chunks[i].size;
+    }
     const VirtAddr tailVa = it->first + headSize;
 
     Extent tail;
     tail.accessible = head.accessible;
+    tail.chunkSize = head.chunkSize;
     tail.size = head.size - headSize;
     tail.chunks.assign(
         head.chunks.begin() + static_cast<std::ptrdiff_t>(at),
@@ -77,7 +121,7 @@ MappingTable::splitExtent(std::map<VirtAddr, Extent>::iterator it,
 
 // ------------------------------------------------------------- map
 
-std::map<VirtAddr, MappingTable::Extent>::iterator
+MappingTable::ExtentMap::iterator
 MappingTable::installChunk(VirtAddr va, PhysHandle handle, Bytes size)
 {
     auto it = mExtents.upper_bound(va);
@@ -87,16 +131,13 @@ MappingTable::installChunk(VirtAddr va, PhysHandle handle, Bytes size)
         // being assembled (same pre-setAccess state).
         if (!prev->second.accessible &&
             prev->first + prev->second.size == va) {
-            prev->second.chunks.push_back(Chunk{handle, size});
-            prev->second.size += size;
+            appendChunk(prev->second, handle, size);
             ++mChunkCount;
             return prev;
         }
     }
     Extent extent;
-    extent.size = size;
-    extent.accessible = false;
-    extent.chunks.push_back(Chunk{handle, size});
+    appendChunk(extent, handle, size);
     const auto inserted =
         mExtents.emplace_hint(it, va, std::move(extent));
     ++mChunkCount;
@@ -178,8 +219,7 @@ MappingTable::mapRange(
         GMLAKE_ASSERT(s.ok(), "validated handle lost its slot");
         if (cur != mExtents.end() && !cur->second.accessible &&
             cur->first + cur->second.size == va) {
-            cur->second.chunks.push_back(Chunk{handle, size});
-            cur->second.size += size;
+            appendChunk(cur->second, handle, size);
             ++mChunkCount;
             continue;
         }
@@ -191,48 +231,47 @@ MappingTable::mapRange(
 // ----------------------------------------------------------- unmap
 
 Status
-MappingTable::validateUnmap(VirtAddr va, Bytes size) const
+MappingTable::checkUnmap(ExtentMap::const_iterator first, VirtAddr va,
+                         Bytes size, RangeStats &stats) const
 {
     const VirtAddr end = va + size;
-    auto it = mExtents.lower_bound(va);
-    if (it != mExtents.begin()) {
-        auto prev = std::prev(it); // prev->first < va
-        const VirtAddr prevEnd = prev->first + prev->second.size;
-        if (prevEnd > va) {
+    stats = statsFrom(first, va, end);
+    bool splits = false;
+    if (first != mExtents.begin()) {
+        const auto head = std::prev(first); // head->first < va
+        const VirtAddr headEnd = head->first + head->second.size;
+        if (headEnd > va) {
             // The range begins inside an extent: legal only on a
             // chunk boundary (the coalesced pieces were separate
             // mappings).
-            if (chunkBoundary(prev->first, prev->second, va) ==
-                kNoBoundary) {
-                return makeError(Errc::invalidValue,
-                                 "cuMemUnmap range splits a mapping");
-            }
-            if (prevEnd > end &&
-                chunkBoundary(prev->first, prev->second, end) ==
-                    kNoBoundary) {
-                return makeError(Errc::invalidValue,
-                                 "cuMemUnmap range splits a mapping");
-            }
+            splits = chunkBoundary(head->first, head->second, va) ==
+                         kNoBoundary ||
+                     (headEnd > end &&
+                      chunkBoundary(head->first, head->second, end) ==
+                          kNoBoundary);
         }
     }
-    for (; it != mExtents.end() && it->first < end; ++it) {
+    for (auto it = first; it != mExtents.end() && it->first < end;
+         ++it) {
         if (it->first + it->second.size > end &&
-            chunkBoundary(it->first, it->second, end) == kNoBoundary) {
-            return makeError(Errc::invalidValue,
-                             "cuMemUnmap range splits a mapping");
-        }
+            chunkBoundary(it->first, it->second, end) == kNoBoundary)
+            splits = true;
     }
-    if (!hasMappingsIn(va, size))
+    if (splits)
+        return makeError(Errc::invalidValue,
+                         "cuMemUnmap range splits a mapping");
+    if (stats.chunks == 0)
         return makeError(Errc::notMapped,
                          "cuMemUnmap of an unmapped range");
     return Status::success();
 }
 
 void
-MappingTable::unmapValidated(VirtAddr va, Bytes size)
+MappingTable::unmapValidated(ExtentMap::iterator first, VirtAddr va,
+                             Bytes size)
 {
     const VirtAddr end = va + size;
-    auto it = mExtents.lower_bound(va);
+    auto it = first;
     if (it != mExtents.begin()) {
         auto prev = std::prev(it); // prev->first < va, so at >= 1
         if (prev->first + prev->second.size > va) {
@@ -259,9 +298,17 @@ MappingTable::unmapValidated(VirtAddr va, Bytes size)
 Status
 MappingTable::unmap(VirtAddr va, Bytes size)
 {
-    if (const Status s = validateUnmap(va, size); !s.ok())
+    RangeStats stats;
+    return unmap(va, size, stats);
+}
+
+Status
+MappingTable::unmap(VirtAddr va, Bytes size, RangeStats &stats)
+{
+    const auto first = mExtents.lower_bound(va);
+    if (const Status s = checkUnmap(first, va, size, stats); !s.ok())
         return s;
-    unmapValidated(va, size);
+    unmapValidated(first, va, size);
     return Status::success();
 }
 
@@ -269,51 +316,42 @@ Status
 MappingTable::unmapRange(
     std::span<const std::pair<VirtAddr, Bytes>> ranges)
 {
+    RangeStats stats;
     for (std::size_t i = 0; i < ranges.size(); ++i) {
-        if (i > 0 && ranges[i].first <
-                         ranges[i - 1].first + ranges[i - 1].second) {
+        const auto [va, size] = ranges[i];
+        if (i > 0 && va < ranges[i - 1].first + ranges[i - 1].second) {
             return makeError(Errc::invalidValue,
                              "cuMemUnmap batch ranges overlap or "
                              "are unsorted");
         }
         if (const Status s =
-                validateUnmap(ranges[i].first, ranges[i].second);
+                checkUnmap(mExtents.lower_bound(va), va, size, stats);
             !s.ok())
             return s;
     }
+    // Each unmap may split an extent at the next range's start, so
+    // every range re-finds its first extent.
     for (const auto &[va, size] : ranges)
-        unmapValidated(va, size);
+        unmapValidated(mExtents.lower_bound(va), va, size);
     return Status::success();
 }
 
 // ------------------------------------------------------- setAccess
 
-Status
-MappingTable::validateSetAccess(VirtAddr va, Bytes size) const
-{
-    if (!hasMappingsIn(va, size))
-        return makeError(Errc::notMapped,
-                         "cuMemSetAccess over an unmapped range");
-    return Status::success();
-}
-
 void
-MappingTable::setAccessValidated(VirtAddr va, Bytes size)
+MappingTable::setAccessValidated(ExtentMap::iterator first,
+                                 VirtAddr va, Bytes size)
 {
     const VirtAddr end = va + size;
-    auto it = mExtents.lower_bound(va);
+    auto it = first;
     if (it != mExtents.begin()) {
         auto prev = std::prev(it); // prev->first < va
         if (prev->first + prev->second.size > va &&
             !prev->second.accessible) {
             // Only the chunks *starting* at or after va flip (CUDA
             // semantics are per mapping); split the suffix off.
-            VirtAddr cursor = prev->first;
-            std::size_t at = 0;
-            while (cursor < va) {
-                cursor += prev->second.chunks[at].size;
-                ++at;
-            }
+            const std::size_t at =
+                chunksStartingBefore(prev->first, prev->second, va);
             if (at < prev->second.chunks.size())
                 it = splitExtent(prev, at);
         }
@@ -328,13 +366,8 @@ MappingTable::setAccessValidated(VirtAddr va, Bytes size)
             // A chunk straddling the range end still flips whole
             // (its start is inside); chunks starting at or beyond
             // the end do not.
-            VirtAddr cursor = it->first;
-            std::size_t at = 0;
-            while (at < extent.chunks.size() && cursor < end) {
-                cursor += extent.chunks[at].size;
-                ++at;
-            }
-            // at = number of chunks whose start is < end.
+            const std::size_t at =
+                chunksStartingBefore(it->first, extent, end);
             if (at < extent.chunks.size())
                 splitExtent(it, at);
         }
@@ -346,9 +379,19 @@ MappingTable::setAccessValidated(VirtAddr va, Bytes size)
 Status
 MappingTable::setAccess(VirtAddr va, Bytes size)
 {
-    if (const Status s = validateSetAccess(va, size); !s.ok())
-        return s;
-    setAccessValidated(va, size);
+    RangeStats stats;
+    return setAccess(va, size, stats);
+}
+
+Status
+MappingTable::setAccess(VirtAddr va, Bytes size, RangeStats &stats)
+{
+    const auto first = mExtents.lower_bound(va);
+    stats = statsFrom(first, va, va + size);
+    if (stats.chunks == 0)
+        return makeError(Errc::notMapped,
+                         "cuMemSetAccess over an unmapped range");
+    setAccessValidated(first, va, size);
     return Status::success();
 }
 
@@ -357,19 +400,18 @@ MappingTable::setAccessRange(
     std::span<const std::pair<VirtAddr, Bytes>> ranges)
 {
     for (std::size_t i = 0; i < ranges.size(); ++i) {
-        if (i > 0 && ranges[i].first <
-                         ranges[i - 1].first + ranges[i - 1].second) {
+        const auto [va, size] = ranges[i];
+        if (i > 0 && va < ranges[i - 1].first + ranges[i - 1].second) {
             return makeError(Errc::invalidValue,
                              "cuMemSetAccess batch ranges overlap "
                              "or are unsorted");
         }
-        if (const Status s = validateSetAccess(ranges[i].first,
-                                               ranges[i].second);
-            !s.ok())
-            return s;
+        if (!hasMappingsIn(va, size))
+            return makeError(Errc::notMapped,
+                             "cuMemSetAccess over an unmapped range");
     }
     for (const auto &[va, size] : ranges)
-        setAccessValidated(va, size);
+        setAccessValidated(mExtents.lower_bound(va), va, size);
     return Status::success();
 }
 
@@ -440,34 +482,61 @@ MappingTable::mappingsIn(VirtAddr va, Bytes size) const
 }
 
 MappingTable::RangeStats
-MappingTable::rangeStats(VirtAddr va, Bytes size) const
+MappingTable::statsStartingIn(VirtAddr extentVa, const Extent &extent,
+                              VirtAddr lo, VirtAddr hi)
 {
     RangeStats stats;
-    const VirtAddr end = va + size;
-    auto tally = [&](VirtAddr, const Chunk &chunk) {
-        ++stats.chunks;
-        stats.bytes += chunk.size;
-        return true;
-    };
-    auto it = mExtents.upper_bound(va);
-    if (it != mExtents.begin()) {
-        auto prev = std::prev(it);
-        if (prev->first + prev->second.size > va) {
-            forEachChunkStartingIn(prev->first, prev->second, va,
-                                   end, tally);
+    if (extent.chunkSize != 0) {
+        const std::size_t from =
+            chunksStartingBefore(extentVa, extent, lo);
+        const std::size_t to =
+            chunksStartingBefore(extentVa, extent, hi);
+        if (to > from) {
+            stats.chunks = to - from;
+            stats.bytes = static_cast<Bytes>(stats.chunks) *
+                          extent.chunkSize;
         }
+        return stats;
     }
-    for (; it != mExtents.end() && it->first < end; ++it) {
+    forEachChunkStartingIn(extentVa, extent, lo, hi,
+                           [&](VirtAddr, const Chunk &chunk) {
+                               ++stats.chunks;
+                               stats.bytes += chunk.size;
+                               return true;
+                           });
+    return stats;
+}
+
+MappingTable::RangeStats
+MappingTable::statsFrom(ExtentMap::const_iterator first, VirtAddr va,
+                        VirtAddr end) const
+{
+    RangeStats stats;
+    const auto add = [&stats](const RangeStats &part) {
+        stats.chunks += part.chunks;
+        stats.bytes += part.bytes;
+    };
+    if (first != mExtents.begin()) {
+        const auto head = std::prev(first); // head->first < va
+        if (head->first + head->second.size > va)
+            add(statsStartingIn(head->first, head->second, va, end));
+    }
+    for (auto it = first; it != mExtents.end() && it->first < end;
+         ++it) {
         if (it->first + it->second.size <= end) {
             // Interior extent: aggregate in O(1).
-            stats.chunks += it->second.chunks.size();
-            stats.bytes += it->second.size;
+            add(RangeStats{it->second.chunks.size(), it->second.size});
             continue;
         }
-        forEachChunkStartingIn(it->first, it->second, va, end,
-                               tally);
+        add(statsStartingIn(it->first, it->second, va, end));
     }
     return stats;
+}
+
+MappingTable::RangeStats
+MappingTable::rangeStats(VirtAddr va, Bytes size) const
+{
+    return statsFrom(mExtents.lower_bound(va), va, va + size);
 }
 
 bool
@@ -496,6 +565,10 @@ MappingTable::translate(VirtAddr va) const
     --it;
     if (va >= it->first + it->second.size)
         return makeError(Errc::notMapped, "translate of unmapped VA");
+    if (it->second.chunkSize != 0)
+        return it->second
+            .chunks[(va - it->first) / it->second.chunkSize]
+            .handle;
     VirtAddr cursor = it->first;
     for (const Chunk &chunk : it->second.chunks) {
         cursor += chunk.size;

@@ -16,6 +16,10 @@
  * The chunk-level semantics of the CUDA API are preserved exactly:
  * extents split at chunk boundaries whenever an unmap or setAccess
  * addresses part of one, and it is still an error to split a chunk.
+ * An extent whose chunks all have one size (every GMLake extent)
+ * records it, so locating a VA inside the extent — a chunk
+ * boundary, the first chunk starting in a range, a split point — is
+ * arithmetic rather than a walk from the extent's start.
  *
  * Batched entry points (mapRange / unmapRange / setAccessRange)
  * validate their whole batch first and only then mutate, so a batch
@@ -51,13 +55,22 @@ class MappingTable
 
     /**
      * A run of virtually-contiguous chunks in one access state.
-     * size is the sum of the chunk sizes.
+     * size is the sum of the chunk sizes; chunkSize is their common
+     * size, or 0 once two of them differ.
      */
     struct Extent
     {
         Bytes size = 0;
+        Bytes chunkSize = 0;
         bool accessible = false;
         std::vector<Chunk> chunks;
+    };
+
+    /** Chunk count and bytes of the mappings starting in a range. */
+    struct RangeStats
+    {
+        std::size_t chunks = 0;
+        Bytes bytes = 0;
     };
 
     /**
@@ -103,6 +116,13 @@ class MappingTable
     Status unmap(VirtAddr va, Bytes size);
 
     /**
+     * unmap() that also sets @p stats to the rangeStats() of the
+     * range before the call, found in the same search — what
+     * cuMemUnmap is charged for. Set on error too.
+     */
+    Status unmap(VirtAddr va, Bytes size, RangeStats &stats);
+
+    /**
      * Batched unmap of disjoint ranges: every range is validated
      * first (boundary and coverage rules of unmap()); on error the
      * table is untouched.
@@ -112,6 +132,9 @@ class MappingTable
 
     /** Grant read/write access to every mapping in [va, va+size). */
     Status setAccess(VirtAddr va, Bytes size);
+
+    /** setAccess() reporting rangeStats() like unmap(va, size, stats). */
+    Status setAccess(VirtAddr va, Bytes size, RangeStats &stats);
 
     /**
      * Batched setAccess of disjoint ranges, validate-then-apply
@@ -139,13 +162,8 @@ class MappingTable
     /**
      * Count and total bytes of the mappings starting inside
      * [va, va+size) without materializing them — O(extents touched)
-     * (interior extents contribute in O(1)).
+     * (interior and uniform extents contribute in O(1)).
      */
-    struct RangeStats
-    {
-        std::size_t chunks = 0;
-        Bytes bytes = 0;
-    };
     RangeStats rangeStats(VirtAddr va, Bytes size) const;
 
     /** True when every byte of [va, va+size) is mapped + accessible. */
@@ -160,15 +178,30 @@ class MappingTable
     std::size_t extentCount() const { return mExtents.size(); }
 
   private:
+    using ExtentMap = std::map<VirtAddr, Extent>;
+
     PhysMemory &mPhys;
     /** va -> extent; extents are disjoint, never empty. */
-    std::map<VirtAddr, Extent> mExtents;
+    ExtentMap mExtents;
     std::size_t mChunkCount = 0;
     /** Reusable scratch for batch validation (handle sizes). */
     std::vector<Bytes> mSizeScratch;
 
     /** True when [va, va+size) overlaps an existing extent. */
     bool overlaps(VirtAddr va, Bytes size) const;
+
+    /** Append a chunk to @p extent, keeping size and chunkSize. */
+    static void appendChunk(Extent &extent, PhysHandle handle,
+                            Bytes size);
+
+    /**
+     * Number of chunks of @p extent whose start VA is below @p va
+     * (0..chunks): the index of the first chunk starting at or
+     * after it.
+     */
+    static std::size_t chunksStartingBefore(VirtAddr extentVa,
+                                            const Extent &extent,
+                                            VirtAddr va);
 
     /**
      * Visit every chunk of @p extent whose start VA lies in
@@ -181,6 +214,18 @@ class MappingTable
     forEachChunkStartingIn(VirtAddr extentVa, const Extent &extent,
                            VirtAddr lo, VirtAddr hi, Fn &&fn)
     {
+        if (extent.chunkSize != 0) {
+            for (std::size_t i =
+                     chunksStartingBefore(extentVa, extent, lo);
+                 i < extent.chunks.size(); ++i) {
+                const VirtAddr chunkVa =
+                    extentVa + static_cast<VirtAddr>(i) *
+                                   extent.chunkSize;
+                if (chunkVa >= hi || !fn(chunkVa, extent.chunks[i]))
+                    break;
+            }
+            return;
+        }
         VirtAddr cursor = extentVa;
         for (const Chunk &chunk : extent.chunks) {
             if (cursor >= hi)
@@ -190,6 +235,18 @@ class MappingTable
             cursor += chunk.size;
         }
     }
+
+    /** rangeStats() restricted to the chunks of one extent. */
+    static RangeStats statsStartingIn(VirtAddr extentVa,
+                                      const Extent &extent,
+                                      VirtAddr lo, VirtAddr hi);
+
+    /**
+     * rangeStats() of [va, end), where @p first is
+     * mExtents.lower_bound(va).
+     */
+    RangeStats statsFrom(ExtentMap::const_iterator first, VirtAddr va,
+                         VirtAddr end) const;
 
     /**
      * Chunk index of the boundary at @p va inside @p extent
@@ -205,25 +262,28 @@ class MappingTable
      * proper interior boundary); returns the iterator of the new
      * tail extent.
      */
-    std::map<VirtAddr, Extent>::iterator
-    splitExtent(std::map<VirtAddr, Extent>::iterator it,
-                std::size_t at);
+    ExtentMap::iterator splitExtent(ExtentMap::iterator it,
+                                    std::size_t at);
 
-    /** unmap() minus the boundary validation (caller did it). */
-    void unmapValidated(VirtAddr va, Bytes size);
-    /** Validation half of unmap(); table is not modified. */
-    Status validateUnmap(VirtAddr va, Bytes size) const;
-    /** Validation half of setAccess(). */
-    Status validateSetAccess(VirtAddr va, Bytes size) const;
-    /** setAccess() minus the validation. */
-    void setAccessValidated(VirtAddr va, Bytes size);
+    /**
+     * Validation half of unmap() (the table is not modified), with
+     * @p first = mExtents.lower_bound(va); fills @p stats.
+     */
+    Status checkUnmap(ExtentMap::const_iterator first, VirtAddr va,
+                      Bytes size, RangeStats &stats) const;
+    /** unmap() minus the validation, from @p first as above. */
+    void unmapValidated(ExtentMap::iterator first, VirtAddr va,
+                        Bytes size);
+    /** setAccess() minus the validation, from @p first as above. */
+    void setAccessValidated(ExtentMap::iterator first, VirtAddr va,
+                            Bytes size);
     /**
      * Install one validated (va, handle, size) mapping, coalescing
      * with an adjacent still-assembling extent; returns the extent
      * that received the chunk.
      */
-    std::map<VirtAddr, Extent>::iterator
-    installChunk(VirtAddr va, PhysHandle handle, Bytes size);
+    ExtentMap::iterator installChunk(VirtAddr va, PhysHandle handle,
+                                     Bytes size);
 };
 
 } // namespace gmlake::vmm

@@ -39,8 +39,8 @@ PhysMemory::find(PhysHandle handle)
         static_cast<const PhysMemory *>(this)->find(handle));
 }
 
-Expected<PhysHandle>
-PhysMemory::create(Bytes size)
+Status
+PhysMemory::checkCreateSize(Bytes size) const
 {
     if (size == 0 || !isAligned(size, mGranularity)) {
         return makeError(Errc::invalidValue,
@@ -48,25 +48,25 @@ PhysMemory::create(Bytes size)
                          " is not a positive multiple of " +
                          formatBytes(mGranularity));
     }
-    // First fit over the free holes: physical allocations must be
-    // contiguous, exactly like real device memory. The extent map
-    // answers "lowest-base hole with size >= request" in O(log n).
-    const auto hole = mHoles.firstFit(size);
-    if (!hole) {
-        // Both diagnostics are O(1) maintained aggregates, and the
-        // message is only assembled on this error path.
-        return makeError(
-            Errc::outOfMemory,
-            "cuMemCreate " + formatBytes(size) +
-            " has no contiguous space (free " +
-            formatBytes(mCapacity - mInUse) + ", largest hole " +
-            formatBytes(largestHole()) + ")");
-    }
-    if (hole->size == size)
-        mHoles.erase(hole->base);
-    else
-        mHoles.shrinkFront(hole->base, size);
+    return Status::success();
+}
 
+Error
+PhysMemory::noSpaceError(Bytes size) const
+{
+    // Both diagnostics are O(1) maintained aggregates, and the
+    // message is only assembled on this error path.
+    return makeError(Errc::outOfMemory,
+                     "cuMemCreate " + formatBytes(size) +
+                     " has no contiguous space (free " +
+                     formatBytes(mCapacity - mInUse) +
+                     ", largest hole " + formatBytes(largestHole()) +
+                     ")");
+}
+
+PhysHandle
+PhysMemory::acquireSlot(Bytes base, Bytes size)
+{
     std::uint32_t index;
     if (!mFreeSlots.empty()) {
         index = mFreeSlots.back();
@@ -80,16 +80,71 @@ PhysMemory::create(Bytes size)
     }
     Slot &s = mSlots[index];
     ++s.generation;
-    s.base = hole->base;
+    s.base = base;
     s.size = size;
     s.mapRefs = 0;
     s.live = true;
     ++mLiveHandles;
+    return pack(index, s.generation);
+}
 
+Expected<PhysHandle>
+PhysMemory::create(Bytes size)
+{
+    if (const Status s = checkCreateSize(size); !s.ok())
+        return s.error();
+    // First fit over the free holes: physical allocations must be
+    // contiguous, exactly like real device memory. The extent map
+    // answers "lowest-base hole with size >= request" in O(log n).
+    const auto hole = mHoles.firstFit(size);
+    if (!hole)
+        return noSpaceError(size);
+    if (hole->size == size)
+        mHoles.erase(hole->base);
+    else
+        mHoles.shrinkFront(hole->base, size);
+
+    const PhysHandle handle = acquireSlot(hole->base, size);
     mInUse += size;
     if (mInUse > mPeakInUse)
         mPeakInUse = mInUse;
-    return pack(index, s.generation);
+    return handle;
+}
+
+Status
+PhysMemory::createBatch(Bytes size, std::size_t count,
+                        std::vector<PhysHandle> &out)
+{
+    if (count == 0)
+        return Status::success();
+    if (const Status s = checkCreateSize(size); !s.ok())
+        return s;
+    while (count > 0) {
+        // Carving a chunk off the front of the lowest fitting hole
+        // leaves it the lowest fitting hole while a chunk still fits,
+        // so the loop's next first-fit answers land in the same hole:
+        // take them all at once.
+        const auto hole = mHoles.firstFit(size);
+        if (!hole)
+            return noSpaceError(size);
+        const std::size_t take =
+            std::min<std::size_t>(count, hole->size / size);
+        const Bytes run = static_cast<Bytes>(take) * size;
+        if (run == hole->size)
+            mHoles.erase(hole->base);
+        else
+            mHoles.shrinkFront(hole->base, run);
+        for (std::size_t i = 0; i < take; ++i) {
+            out.push_back(acquireSlot(
+                hole->base + static_cast<Bytes>(i) * size, size));
+        }
+        // inUse only grows here, so the per-chunk peak is the last.
+        mInUse += run;
+        if (mInUse > mPeakInUse)
+            mPeakInUse = mInUse;
+        count -= take;
+    }
+    return Status::success();
 }
 
 Status
@@ -110,6 +165,63 @@ PhysMemory::release(PhysHandle handle)
     mHoles.insertCoalescing(s->base, s->size);
     if (mHoles.count() > mPeakHoles)
         mPeakHoles = mHoles.count();
+    return Status::success();
+}
+
+Status
+PhysMemory::releaseBatch(std::span<const PhysHandle> handles)
+{
+    // Validate by claiming: clearing a slot's live flag makes a
+    // second listing of the same handle fail like the loop's second
+    // release would. Any error gives every claimed slot back.
+    for (std::size_t i = 0; i < handles.size(); ++i) {
+        const Slot *s = find(handles[i]);
+        Status bad;
+        if (s == nullptr) {
+            bad = makeError(Errc::invalidValue,
+                            "release of unknown handle");
+        } else if (s->mapRefs != 0) {
+            bad = makeError(Errc::handleInUse,
+                            "release of a handle with live mappings");
+        }
+        if (!bad.ok()) {
+            for (std::size_t j = 0; j < i; ++j)
+                mSlots[static_cast<std::uint32_t>(handles[j])].live =
+                    true;
+            return bad;
+        }
+        mSlots[static_cast<std::uint32_t>(handles[i])].live = false;
+    }
+
+    std::size_t i = 0;
+    while (i < handles.size()) {
+        const Bytes runBase =
+            mSlots[static_cast<std::uint32_t>(handles[i])].base;
+        Bytes runEnd = runBase;
+        std::size_t j = i;
+        for (; j < handles.size(); ++j) {
+            const auto index = static_cast<std::uint32_t>(handles[j]);
+            const Slot &s = mSlots[index];
+            if (s.base != runEnd)
+                break;
+            runEnd += s.size;
+            mInUse -= s.size;
+            --mLiveHandles;
+            mFreeSlots.push_back(index);
+        }
+        const std::size_t before = mHoles.count();
+        const auto merged =
+            mHoles.insertCoalescing(runBase, runEnd - runBase);
+        // The loop's hole count peaks right after the run's first
+        // chunk returns: each later chunk merges into the hole before
+        // it, and only the run's last chunk can meet a hole after it.
+        const bool single = j - i == 1;
+        const std::size_t peak = before + 1 - (merged.prev ? 1 : 0) -
+                                 (single && merged.next ? 1 : 0);
+        if (peak > mPeakHoles)
+            mPeakHoles = peak;
+        i = j;
+    }
     return Status::success();
 }
 

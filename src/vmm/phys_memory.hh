@@ -27,6 +27,7 @@
 #define GMLAKE_VMM_PHYS_MEMORY_HH
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -102,6 +103,26 @@ class PhysMemory
     /** Release a handle; fails with handleInUse while mapped. */
     Status release(PhysHandle handle);
 
+    /**
+     * Create up to @p count handles of @p size bytes, appending them
+     * to @p out: the same handles, placement, slots and peaks as a
+     * loop of create() that stops at its first error, which is
+     * returned (the handles created before it stay in @p out). Each
+     * first-fit hole is carved once for the whole run of chunks it
+     * holds.
+     */
+    Status createBatch(Bytes size, std::size_t count,
+                       std::vector<PhysHandle> &out);
+
+    /**
+     * Release every handle of @p handles, in order. All of them are
+     * validated first (live, unmapped, listed once); on error none
+     * is released. The result equals a loop of release(), including
+     * peakHoleCount(), but each ascending physically contiguous run
+     * returns to the hole map with one coalescing insert.
+     */
+    Status releaseBatch(std::span<const PhysHandle> handles);
+
     /** Increment / decrement the mapping refcount of a handle. */
     Status addMapRef(PhysHandle handle);
     Status dropMapRef(PhysHandle handle);
@@ -148,6 +169,13 @@ class PhysMemory
     std::vector<std::uint32_t> mFreeSlots;
     /** Free holes of the physical address space. */
     FreeExtentMap mHoles;
+
+    /** Error for a size create() does not accept, if any. */
+    Status checkCreateSize(Bytes size) const;
+    /** The outOfMemory error of a create() that found no hole. */
+    Error noSpaceError(Bytes size) const;
+    /** Take a slot for a fresh handle at [base, base+size). */
+    PhysHandle acquireSlot(Bytes base, Bytes size);
 
     /** Resolve a handle to its live slot; nullptr when invalid. */
     const Slot *find(PhysHandle handle) const;
