@@ -2,29 +2,17 @@
  * @file
  * Columnar binary dump of a recorder snapshot (`.gmo`).
  *
- * Same engineering as the workload `.gmt` format (binary_trace.hh),
- * re-stated here because obs sits below workload in the layer
- * diagram: a magic header, fixed-size chunks of per-column arrays
- * each carrying a folded FNV-1a payload hash, a footer with the
- * side tables (blob arena, track and run names), and a fixed-size
- * trailer holding the footer offset + hash so truncated or corrupt
- * files are rejected at open instead of decoding garbage.
+ * The file is a support/columnar_file.hh container with magic
+ * "GMOBSEV1" and one section, "timeline", whose chunks hold twelve
+ * event columns
  *
- *   ┌──────────────────────────────────────────────────┐
- *   │ Header   "GMOBSEV1" · u32 version · u32 0        │
- *   ├──────────────────────────────────────────────────┤
- *   │ Chunk*   u32 count · u32 payloadHash · columns:  │
- *   │          u64 simTime/dur/a0/a1/a2 ·              │
- *   │          u32 seq/track/blobOff/blobLen ·         │
- *   │          u16 name · u8 kind · u8 cat             │
- *   ├──────────────────────────────────────────────────┤
- *   │ Footer   u64 events · u64 chunks ·               │
- *   │          blob arena · track table · run table ·  │
- *   │          u64 dropped                             │
- *   ├──────────────────────────────────────────────────┤
- *   │ Trailer  u64 footerOffset · u64 footerHash ·     │
- *   │          "GMOFOOT1"                              │
- *   └──────────────────────────────────────────────────┘
+ *   u64 simTime · dur · a0 · a1 · a2 · u32 seq · track · blobOff ·
+ *   blobLen · u16 name · u8 kind · u8 cat
+ *
+ * and whose metadata holds the side tables: u64 blobWords · blob
+ * arena · u32 trackCount · (u32 run · string name)* · u32 runCount
+ * · string* · u64 dropped (strings are u32 length · bytes). Format
+ * v2 moved to the shared container; v1 files are rejected.
  */
 
 #ifndef GMLAKE_OBS_EXPORT_COLUMNAR_HH
@@ -45,8 +33,9 @@ void writeColumnarTrace(const RecorderSnapshot &snap,
                         const std::string &path);
 
 /**
- * Read a `.gmo` file back into a snapshot, verifying the trailer
- * magic, footer hash and every chunk's payload hash; GMLAKE_FATAL
+ * Read a `.gmo` file back into a snapshot through the container's
+ * mapping, verifying the trailer, footer hash, every chunk's payload
+ * hash, every event's enum values and blob reference; GMLAKE_FATAL
  * on any defect.
  */
 RecorderSnapshot readColumnarTrace(const std::string &path);

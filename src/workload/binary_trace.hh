@@ -7,51 +7,26 @@
  * field, so replay cost is a few unaligned loads per event and the
  * resident footprint is the page cache's problem.
  *
- * On-disk layout (little-endian, no alignment padding):
+ * The file is a support/columnar_file.hh container with magic
+ * "GMTRACE1": one section per session, five event columns per chunk
  *
- *   ┌───────────────────────────────────────────────┐
- *   │ FileHeader   "GMTRACE1" · u32 version · u32 0 │
- *   ├───────────────────────────────────────────────┤
- *   │ Section 0:  Chunk · Chunk · …                 │  event data
- *   │ Section 1:  Chunk · …                         │  (per-session
- *   │ …                                             │   sections)
- *   ├───────────────────────────────────────────────┤
- *   │ Footer: per-section index records             │
- *   │   offset/bytes/events/chunks · TraceStats ·   │
- *   │   nameLen · name                              │
- *   ├───────────────────────────────────────────────┤
- *   │ Trailer  u64 footerOffset · u64 sectionCount  │
- *   │          u64 footerHash(FNV-1a) · "GMTFOOT1"  │
- *   └───────────────────────────────────────────────┘
+ *   u8 kind · u64 tensor · u64 bytes · i64 computeNs · u32 stream
  *
- * Each chunk holds up to kGmtChunkEvents events as per-column arrays
- * (structure-of-arrays, the columnar part):
- *
- *   u32 count · u32 payloadHash · u8 kind[count] · u64 tensor[count]
- *   · u64 bytes[count] · i64 computeNs[count] · u32 stream[count]
- *
- * The footer lives at the end so the writer streams: events are
- * appended chunk by chunk with O(chunk) memory, and the index is
- * emitted only at finish(). Readers locate it through the
- * fixed-size trailer, verify the footer hash, and bounds-check every
- * chunk against the section extent — truncated or corrupt files are
- * rejected at open (or first touch) instead of replaying garbage.
- * The footer hash does not cover event data, so each chunk header
- * carries a folded FNV-1a of its own columns (format v2), verified
- * when the chunk is first decoded: a flipped bit anywhere in a
- * payload fails loudly instead of replaying a silently different
- * workload.
+ * and the section's TraceStats (u64 allocCount · totalAllocBytes ·
+ * maxAllocBytes · iterations) as its metadata. Format v3 moved to
+ * the shared container; files of older versions are rejected.
  */
 
 #ifndef GMLAKE_WORKLOAD_BINARY_TRACE_HH
 #define GMLAKE_WORKLOAD_BINARY_TRACE_HH
 
 #include <cstdint>
-#include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "support/columnar_file.hh"
 #include "workload/event_source.hh"
 #include "workload/trace.hh"
 
@@ -62,24 +37,17 @@ namespace gmlake::workload
 inline constexpr std::size_t kGmtChunkEvents = 64 * 1024;
 
 /** One section (= one session's event stream) of a `.gmt` file. */
-struct GmtSection
+struct GmtSection : ColumnarSection
 {
-    std::string name;
-    std::uint64_t events = 0;
-    std::uint64_t chunks = 0;
-    /** Section extent within the file. */
-    std::uint64_t offset = 0;
-    std::uint64_t byteLength = 0;
-    /** Aggregate shape, mirrored from the footer index. */
+    /** Aggregate shape, from the section's metadata. */
     TraceStats stats;
 };
 
 /**
- * A validated, read-only mapping of a `.gmt` file. Header, trailer
- * and footer are checked at open (magic, version, footer hash,
- * section bounds); chunk extents are checked as cursors walk them.
- * Shared by every BinaryTraceSource over the file, so a multi-session
- * replay maps the file once.
+ * A validated, read-only mapping of a `.gmt` file. The container
+ * checks header, trailer and footer at open, and each chunk as
+ * cursors walk it. Shared by every BinaryTraceSource over the file,
+ * so a multi-session replay maps the file once.
  */
 class GmtFile
 {
@@ -88,31 +56,24 @@ class GmtFile
     static std::shared_ptr<const GmtFile> open(
         const std::string &path);
 
-    ~GmtFile();
-    GmtFile(const GmtFile &) = delete;
-    GmtFile &operator=(const GmtFile &) = delete;
-
-    const std::string &path() const { return mPath; }
-    std::uint32_t version() const { return mVersion; }
-    std::uint64_t fileBytes() const { return mSize; }
+    const std::string &path() const { return mFile.path(); }
+    std::uint32_t version() const { return mFile.version(); }
+    std::uint64_t fileBytes() const { return mFile.fileBytes(); }
     const std::vector<GmtSection> &sections() const
     {
         return mSections;
     }
 
     /** Raw mapped bytes (valid for [0, fileBytes())). */
-    const std::uint8_t *data() const { return mData; }
+    const std::uint8_t *data() const { return mFile.data(); }
+
+    /** The container the sections live in. */
+    const ColumnarFile &container() const { return mFile; }
 
   private:
-    GmtFile() = default;
-    void validate();
+    explicit GmtFile(ColumnarFile file) : mFile(std::move(file)) {}
 
-    std::string mPath;
-    const std::uint8_t *mData = nullptr;
-    std::uint64_t mSize = 0;
-    bool mMapped = false;            //!< mmap vs fallback buffer
-    std::vector<std::uint8_t> mBuffer;
-    std::uint32_t mVersion = 0;
+    ColumnarFile mFile;
     std::vector<GmtSection> mSections;
 };
 
@@ -146,8 +107,7 @@ class GmtWriter
     void flushChunk();
     void endSection();
 
-    std::string mPath;
-    std::ofstream mOut;
+    ColumnarWriter mOut;
     std::size_t mChunkEvents;
     bool mFinished = false;
     bool mInSection = false;
@@ -159,8 +119,9 @@ class GmtWriter
     std::vector<std::int64_t> mComputeNs;
     std::vector<std::uint32_t> mStream;
 
-    GmtSection mCurrent;
-    std::vector<GmtSection> mSections;
+    // The section being written.
+    std::string mSectionName;
+    TraceStats mStats;
 };
 
 /**
@@ -187,18 +148,12 @@ class BinaryTraceSource final : public EventSource
     const GmtSection &section() const;
 
   private:
-    void loadChunk(std::uint64_t offset);
-
     std::shared_ptr<const GmtFile> mFile;
     std::size_t mSection = 0;
 
-    std::uint64_t mNextChunk = 0;   //!< file offset of next chunk
+    ColumnarChunk mChunk;           //!< the loaded chunk
     std::uint64_t mRemaining = 0;   //!< events left in the section
-    std::uint32_t mCount = 0;       //!< events in the loaded chunk
     std::uint32_t mIndex = 0;       //!< cursor within the chunk
-    // Column base offsets of the loaded chunk.
-    std::uint64_t mKindCol = 0, mTensorCol = 0, mBytesCol = 0,
-                  mComputeCol = 0, mStreamCol = 0;
     Event mCurrent;
     bool mHave = false;
 };

@@ -324,6 +324,69 @@ TEST(ObsExport, ColumnarRejectsTruncation)
     std::filesystem::remove(path);
 }
 
+TEST(ObsExport, ColumnarRoundTripsAcrossChunks)
+{
+    RecorderSnapshot snap;
+    snap.tracks.push_back(TrackInfo{"mem.active", 0});
+    snap.runs.push_back("run");
+    for (std::uint64_t i = 0; i < kObsChunkEvents + 5; ++i) {
+        Event e;
+        e.simTime = i;
+        e.a0 = i * 3;
+        e.seq = static_cast<std::uint32_t>(i);
+        e.name = EvName::counterSample;
+        e.kind = EventKind::counter;
+        e.cat = EventCat::sample;
+        snap.events.push_back(e);
+    }
+    const std::string path = tempPath("obs_chunks.gmo");
+    writeColumnarTrace(snap, path);
+    const RecorderSnapshot back = readColumnarTrace(path);
+    ASSERT_EQ(back.events.size(), snap.events.size());
+    for (std::size_t i = 0; i < snap.events.size(); ++i) {
+        EXPECT_EQ(back.events[i].simTime, snap.events[i].simTime);
+        EXPECT_EQ(back.events[i].a0, snap.events[i].a0);
+        EXPECT_EQ(back.events[i].seq, snap.events[i].seq);
+    }
+    std::filesystem::remove(path);
+}
+
+TEST(ObsExport, ColumnarRejectsWrappingBlobReference)
+{
+    // blobOff + blobLen wraps to 0x10 in u32 arithmetic; accepting it
+    // would point blobOf() 4G words past the 32-word arena.
+    RecorderSnapshot snap;
+    snap.blob.assign(32, 7);
+    snap.tracks.push_back(TrackInfo{"device", 0});
+    snap.runs.push_back("run");
+    Event e;
+    e.name = EvName::stitch;
+    e.kind = EventKind::instant;
+    e.cat = EventCat::alloc;
+    e.blobOff = 0xFFFFFFF0u;
+    e.blobLen = 0x20u;
+    snap.events.push_back(e);
+    const std::string path = tempPath("obs_blob_wrap.gmo");
+    writeColumnarTrace(snap, path);
+    EXPECT_THROW((void)readColumnarTrace(path), FatalError);
+    std::filesystem::remove(path);
+}
+
+TEST(ObsExport, ColumnarRejectsOutOfRangeEnums)
+{
+    const auto rejects = [](auto mutate) {
+        RecorderSnapshot snap = sampleSnapshot();
+        mutate(snap.events.front());
+        const std::string path = tempPath("obs_bad_enum.gmo");
+        writeColumnarTrace(snap, path);
+        EXPECT_THROW((void)readColumnarTrace(path), FatalError);
+        std::filesystem::remove(path);
+    };
+    rejects([](Event &e) { e.name = EvName::count_; });
+    rejects([](Event &e) { e.kind = static_cast<EventKind>(3); });
+    rejects([](Event &e) { e.cat = static_cast<EventCat>(5); });
+}
+
 TEST(ObsExport, LooksLikeObsTraceRejectsOtherFiles)
 {
     const std::string path = tempPath("obs_not_a_trace.bin");

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the support library: units, logging, Expected,
- * RNG, histogram, table and CSV helpers.
+ * RNG, histogram, table, CSV helpers and the columnar container.
  */
 
 #include <gtest/gtest.h>
@@ -10,8 +10,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
+#include "support/columnar_file.hh"
 #include "support/csv.hh"
 #include "support/expected.hh"
 #include "support/histogram.hh"
@@ -285,5 +287,108 @@ TEST(Csv, WritesQuotedCells)
     EXPECT_EQ(line, "1,\"x,y\"");
     std::getline(in, line);
     EXPECT_EQ(line, "2,\"he said \"\"hi\"\"\"");
+    std::filesystem::remove(path);
+}
+
+// ------------------------------------------------------------ columnar
+
+TEST(ColumnarFile, SectionsChunksAndMetaRoundTrip)
+{
+    static constexpr std::uint8_t kWidths[] = {2, 8};
+    const ColumnarFormat kToy{"GMTOYFMT", 1, kWidths, ".toy"};
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "gmlake_toy.col")
+            .string();
+    {
+        ColumnarWriter out(path, kToy);
+        const std::uint16_t a[] = {1, 2, 3};
+        const std::uint64_t b[] = {10, 20, 30};
+        const void *const first[] = {a, b};
+        const void *const second[] = {a + 2, b + 2};
+        out.writeChunk(2, first);
+        out.writeChunk(1, second);
+        out.endSection("first", "meta");
+        out.endSection("empty", "");
+        out.finish();
+    }
+
+    const ColumnarFile file = ColumnarFile::open(path, kToy);
+    ASSERT_EQ(file.sections().size(), 2u);
+    const ColumnarSection &s = file.sections()[0];
+    EXPECT_EQ(s.name, "first");
+    EXPECT_EQ(s.events, 3u);
+    EXPECT_EQ(s.chunks, 2u);
+    EXPECT_EQ(file.sections()[1].events, 0u);
+    ColumnarCursor meta = file.meta(s);
+    EXPECT_EQ(std::string(reinterpret_cast<const char *>(meta.take(4)),
+                          4),
+              "meta");
+    meta.expectEnd();
+    const ColumnarChunk c0 = file.chunk(s, s.offset, 3);
+    ASSERT_EQ(c0.count, 2u);
+    EXPECT_EQ(c0.get<std::uint16_t>(0, 1), 2u);
+    EXPECT_EQ(c0.get<std::uint64_t>(1, 1), 20u);
+    const ColumnarChunk c1 = file.chunk(s, c0.next, 1);
+    EXPECT_EQ(c1.get<std::uint64_t>(1, 0), 30u);
+    EXPECT_EQ(c1.next, s.offset + s.byteLength);
+    // A chunk may not hold more events than its section has left.
+    EXPECT_THROW(file.chunk(s, s.offset, 1), FatalError);
+
+    // The generic open lists the index of any container file.
+    const ColumnarFile any = ColumnarFile::open(path);
+    EXPECT_EQ(any.magic(), "GMTOYFMT");
+    EXPECT_EQ(any.version(), 1u);
+    ASSERT_EQ(any.sections().size(), 2u);
+    EXPECT_EQ(any.sections()[1].name, "empty");
+
+    const ColumnarFormat kNewer{"GMTOYFMT", 2, kWidths, ".toy"};
+    EXPECT_THROW(ColumnarFile::open(path, kNewer), FatalError);
+    const ColumnarFormat kOther{"GMOTHER1", 1, kWidths, ".oth"};
+    EXPECT_THROW(ColumnarFile::open(path, kOther), FatalError);
+    EXPECT_TRUE(hasColumnarMagic(path, "GMTOYFMT"));
+    EXPECT_FALSE(hasColumnarMagic(path, "GMOTHER1"));
+    std::filesystem::remove(path);
+}
+
+TEST(ColumnarFile, RejectsIndexDefectsTheFooterHashMisses)
+{
+    static constexpr std::uint8_t kWidths[] = {2, 8};
+    const ColumnarFormat kToy{"GMTOYFMT", 1, kWidths, ".toy"};
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "gmlake_toy_bad.col")
+            .string();
+    std::string pristine;
+    {
+        ColumnarWriter out(path, kToy);
+        const std::uint16_t a[] = {1, 2};
+        const std::uint64_t b[] = {10, 20};
+        const void *const columns[] = {a, b};
+        out.writeChunk(2, columns);
+        out.endSection("first", "");
+        out.endSection("second", "");
+        out.finish();
+        std::ifstream in(path, std::ios::binary);
+        pristine.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    const auto rewrite = [&](std::size_t at, char byte) {
+        std::string bytes = pristine;
+        bytes[at] = byte;
+        std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+    };
+    // The trailer must end with the header's magic.
+    rewrite(pristine.size() - 1, 'X');
+    EXPECT_THROW(ColumnarFile::open(path, kToy), FatalError);
+    EXPECT_THROW(ColumnarFile::open(path), FatalError);
+    // The section count sits in the trailer, outside the footer hash:
+    // one section fewer leaves an index record unread.
+    rewrite(pristine.size() - 24, 1);
+    EXPECT_THROW(ColumnarFile::open(path, kToy), FatalError);
+    // Read with wider columns, the section cannot hold its events.
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << pristine;
+    static constexpr std::uint8_t kWide[] = {8, 8, 8};
+    EXPECT_THROW(
+        ColumnarFile::open(path, ColumnarFormat{"GMTOYFMT", 1, kWide,
+                                                ".toy"}),
+        FatalError);
     std::filesystem::remove(path);
 }

@@ -1,24 +1,30 @@
 /**
  * @file
- * Fuzz-lite robustness corpus over the two trace formats: a seeded,
- * deterministic sweep of truncations and bit flips applied to a
- * generated text trace and its packed `.gmt` twin. The property is
- * the loader contract, not any particular diagnostic — every mutated
- * input either loads (the text format tolerates benign whitespace /
- * comment damage) or is rejected with FatalError/PanicError. Nothing
- * may crash, hang, or replay silently different data: a `.gmt` whose
+ * Fuzz-lite robustness corpus over the trace and timeline formats: a
+ * seeded, deterministic sweep of truncations and bit flips applied
+ * to a generated text trace, its packed `.gmt` twin and a recorded
+ * `.gmo` timeline. The property is the loader contract, not any
+ * particular diagnostic. A mutated text trace either loads (the text
+ * format tolerates benign whitespace / comment damage) or is rejected
+ * with FatalError/PanicError. A mutated binary file either loads
+ * equal to the original or is rejected with FatalError. Nothing may
+ * crash, hang, or replay silently different data: a binary file whose
  * event payload was tampered with must be rejected via the per-chunk
- * payload hash introduced in format v2.
+ * payload hash of the shared columnar container.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <tuple>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "obs/export_columnar.hh"
+#include "obs/recorder.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
 #include "support/units.hh"
@@ -105,18 +111,136 @@ expectTextContract(const std::string &mutated, const char *what)
     }
 }
 
-/** Same contract for the binary format: open + full decode walk. */
+/** Small recorded timeline: every event name, counters, blobs. */
+const obs::RecorderSnapshot &
+corpusTimeline()
+{
+    static const obs::RecorderSnapshot snap = [] {
+        obs::Recorder rec;
+        Rng rng(77);
+        const auto names =
+            static_cast<std::uint64_t>(obs::EvName::count_);
+        for (std::uint64_t run = 0; run < 2; ++run) {
+            rec.beginRun("fuzz-" + std::to_string(run));
+            const std::uint32_t dev = rec.track("device");
+            const std::uint32_t mem = rec.track("mem.active");
+            for (std::uint64_t i = 0; i < 600; ++i) {
+                rec.span(static_cast<obs::EvName>(i % names),
+                         obs::EventCat::device, dev, 10 * i, 5,
+                         rng.uniformInt(0, 1u << 30), i, run);
+                rec.counter(mem, 10 * i + 3,
+                            rng.uniformInt(0, 1u << 30));
+                if (i % 16 == 0) {
+                    const std::uint64_t members[] = {i, i + 1, i + 2};
+                    obs::Event stitch;
+                    stitch.simTime = 10 * i + 7;
+                    stitch.track = dev;
+                    stitch.name = obs::EvName::stitch;
+                    stitch.cat = obs::EventCat::alloc;
+                    rec.emitWithBlob(stitch, members, 3);
+                }
+            }
+        }
+        return rec.snapshot();
+    }();
+    return snap;
+}
+
+/** Full `.gmt` decode walk; true when it replays the corpus trace. */
+bool
+gmtLoadsEqual(const std::string &path)
+{
+    const std::vector<Event> &want = corpusTrace().events();
+    BinaryTraceSource source(path);
+    std::size_t i = 0;
+    for (const Event *e = source.peek(); e != nullptr;
+         source.advance(), e = source.peek(), ++i) {
+        if (i >= want.size() ||
+            std::tie(e->kind, e->tensor, e->bytes, e->computeNs,
+                     e->stream) != std::tie(want[i].kind,
+                                            want[i].tensor,
+                                            want[i].bytes,
+                                            want[i].computeNs,
+                                            want[i].stream))
+            return false;
+    }
+    return i == want.size();
+}
+
+/** Full `.gmo` read; true when it returns the corpus timeline. */
+bool
+gmoLoadsEqual(const std::string &path)
+{
+    const obs::RecorderSnapshot &want = corpusTimeline();
+    const obs::RecorderSnapshot got = obs::readColumnarTrace(path);
+    const auto fields = [](const obs::Event &e) {
+        return std::tie(e.simTime, e.dur, e.a0, e.a1, e.a2, e.seq,
+                        e.track, e.blobOff, e.blobLen, e.name, e.kind,
+                        e.cat);
+    };
+    if (got.events.size() != want.events.size() ||
+        got.blob != want.blob || got.runs != want.runs ||
+        got.dropped != want.dropped ||
+        got.tracks.size() != want.tracks.size())
+        return false;
+    for (std::size_t i = 0; i < want.events.size(); ++i) {
+        if (fields(got.events[i]) != fields(want.events[i]))
+            return false;
+    }
+    for (std::size_t i = 0; i < want.tracks.size(); ++i) {
+        if (got.tracks[i].name != want.tracks[i].name ||
+            got.tracks[i].run != want.tracks[i].run)
+            return false;
+    }
+    return true;
+}
+
+/** One binary format under fuzz. */
+struct BinaryFormat
+{
+    const char *name;
+    /** The header version this reader no longer accepts. */
+    std::uint32_t previousVersion;
+    /** Write the pristine corpus to a path. */
+    void (*write)(const std::string &path);
+    /** Load a path in full: whether it equals the corpus, or throw. */
+    bool (*loadsEqual)(const std::string &path);
+};
+
+const BinaryFormat kBinaryFormats[] = {
+    {"gmt", 2,
+     [](const std::string &path) {
+         packTrace(corpusTrace(), path, "fuzz");
+     },
+     gmtLoadsEqual},
+    {"gmo", 1,
+     [](const std::string &path) {
+         obs::writeColumnarTrace(corpusTimeline(), path);
+     },
+     gmoLoadsEqual},
+};
+
+std::vector<char>
+pristineBytes(const BinaryFormat &format)
+{
+    ScopedFile file(scratchPath(std::string("pristine.") + format.name));
+    format.write(file.path);
+    return readAll(file.path);
+}
+
+/** The binary loader contract: equal to the original or FatalError. */
 void
-expectGmtContract(const std::string &path, const char *what)
+expectBinaryContract(const BinaryFormat &format,
+                     const std::string &path, const char *what)
 {
     try {
-        BinaryTraceSource source(path);
-        while (source.peek() != nullptr)
-            source.advance();
+        EXPECT_TRUE(format.loadsEqual(path))
+            << format.name << " " << what
+            << ": loaded data that differs from the original";
     } catch (const FatalError &) {
-    } catch (const PanicError &) {
     } catch (...) {
-        FAIL() << what << ": escaped a non-gmlake exception";
+        FAIL() << format.name << " " << what
+               << ": escaped a non-FatalError exception";
     }
 }
 
@@ -154,97 +278,103 @@ TEST(TraceFuzz, TextBitFlipsNeverCrash)
     }
 }
 
-TEST(TraceFuzz, GmtTruncationNeverCrashes)
+TEST(TraceFuzz, BinaryTruncationNeverCrashes)
 {
-    ScopedFile whole(scratchPath("trunc_src.gmt"));
-    packTrace(corpusTrace(), whole.path, "fuzz");
-    const std::vector<char> bytes = readAll(whole.path);
-    ASSERT_GT(bytes.size(), 128u);
+    for (const BinaryFormat &format : kBinaryFormats) {
+        const std::vector<char> bytes = pristineBytes(format);
+        ASSERT_GT(bytes.size(), 128u) << format.name;
 
-    ScopedFile cut(scratchPath("trunc_cut.gmt"));
-    const std::size_t stride = bytes.size() > 8192 ? 257 : 13;
-    for (std::size_t len = 0; len < bytes.size(); len += stride) {
-        writeAll(cut.path,
-                 std::vector<char>(bytes.begin(),
-                                   bytes.begin() +
-                                       static_cast<std::ptrdiff_t>(
-                                           len)));
-        expectGmtContract(cut.path, "gmt truncation");
-    }
-    for (std::size_t back = 1; back <= 32; ++back) {
-        writeAll(cut.path,
-                 std::vector<char>(bytes.begin(),
-                                   bytes.end() -
-                                       static_cast<std::ptrdiff_t>(
-                                           back)));
-        expectGmtContract(cut.path, "gmt tail truncation");
-    }
-}
-
-TEST(TraceFuzz, GmtBitFlipsNeverCrash)
-{
-    ScopedFile whole(scratchPath("flip_src.gmt"));
-    packTrace(corpusTrace(), whole.path, "fuzz");
-    const std::vector<char> bytes = readAll(whole.path);
-
-    ScopedFile flipped(scratchPath("flip_mut.gmt"));
-    Rng rng(4242);
-    for (int round = 0; round < 300; ++round) {
-        std::vector<char> mutated = bytes;
-        const std::size_t at = rng.uniformInt(0, mutated.size() - 1);
-        mutated[at] = static_cast<char>(
-            mutated[at] ^
-            static_cast<char>(1u << rng.uniformInt(0, 7)));
-        writeAll(flipped.path, mutated);
-        expectGmtContract(flipped.path, "gmt bit flip");
+        ScopedFile cut(scratchPath(std::string("trunc.") + format.name));
+        const std::size_t stride = bytes.size() > 8192 ? 257 : 13;
+        for (std::size_t len = 0; len < bytes.size(); len += stride) {
+            writeAll(cut.path,
+                     std::vector<char>(bytes.begin(),
+                                       bytes.begin() +
+                                           static_cast<std::ptrdiff_t>(
+                                               len)));
+            expectBinaryContract(format, cut.path, "truncation");
+        }
+        for (std::size_t back = 1; back <= 32; ++back) {
+            writeAll(cut.path,
+                     std::vector<char>(bytes.begin(),
+                                       bytes.end() -
+                                           static_cast<std::ptrdiff_t>(
+                                               back)));
+            expectBinaryContract(format, cut.path, "tail truncation");
+        }
     }
 }
 
-TEST(TraceFuzz, GmtPayloadTamperIsRejectedLoudly)
+TEST(TraceFuzz, BinaryBitFlipsNeverCrash)
 {
-    ScopedFile file(scratchPath("tamper.gmt"));
-    packTrace(corpusTrace(), file.path, "fuzz");
-    std::vector<char> bytes = readAll(file.path);
+    for (const BinaryFormat &format : kBinaryFormats) {
+        const std::vector<char> bytes = pristineBytes(format);
+        ScopedFile flipped(scratchPath(std::string("flip.") + format.name));
+        Rng rng(4242);
+        for (int round = 0; round < 300; ++round) {
+            std::vector<char> mutated = bytes;
+            const std::size_t at =
+                rng.uniformInt(0, mutated.size() - 1);
+            mutated[at] = static_cast<char>(
+                mutated[at] ^
+                static_cast<char>(1u << rng.uniformInt(0, 7)));
+            writeAll(flipped.path, mutated);
+            expectBinaryContract(format, flipped.path, "bit flip");
+        }
+    }
+}
 
-    // The first chunk starts right after the 16-byte file header:
-    // u32 count · u32 payloadHash · columns. Flip one payload byte
-    // past the 8-byte chunk header; the footer hash does not cover
-    // it, so only the v2 per-chunk hash can catch this.
-    const std::size_t target = 16 + 8 + 3;
-    ASSERT_LT(target, bytes.size());
-    bytes[target] = static_cast<char>(bytes[target] ^ 0x10);
-    writeAll(file.path, bytes);
+TEST(TraceFuzz, BinaryPayloadTamperIsRejectedLoudly)
+{
+    for (const BinaryFormat &format : kBinaryFormats) {
+        std::vector<char> bytes = pristineBytes(format);
+        // The first chunk starts right after the 16-byte file header:
+        // u32 count · u32 payloadHash · columns. Flip one payload byte
+        // past the 8-byte chunk header; the footer hash does not cover
+        // it, so only the per-chunk hash can catch this.
+        const std::size_t target = 16 + 8 + 3;
+        ASSERT_LT(target, bytes.size());
+        bytes[target] = static_cast<char>(bytes[target] ^ 0x10);
+        ScopedFile file(scratchPath(std::string("tamper.") + format.name));
+        writeAll(file.path, bytes);
+        EXPECT_THROW((void)format.loadsEqual(file.path), FatalError)
+            << format.name;
+    }
+}
 
-    EXPECT_THROW(
-        {
-            BinaryTraceSource source(file.path);
-            while (source.peek() != nullptr)
-                source.advance();
-        },
-        FatalError);
+TEST(TraceFuzz, BinaryOldVersionIsRejectedLoudly)
+{
+    for (const BinaryFormat &format : kBinaryFormats) {
+        // The u32 version follows the 8-byte magic.
+        std::vector<char> bytes = pristineBytes(format);
+        std::memcpy(bytes.data() + 8, &format.previousVersion,
+                    sizeof format.previousVersion);
+        ScopedFile file(scratchPath(std::string("oldver.") + format.name));
+        writeAll(file.path, bytes);
+        try {
+            (void)format.loadsEqual(file.path);
+            ADD_FAILURE() << format.name << ": old version accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("unsupported"),
+                      std::string::npos)
+                << format.name << ": " << e.what();
+        }
+    }
 }
 
 TEST(TraceFuzz, UnmutatedCorpusStillLoadsEquivalently)
 {
     // Sanity anchor for the whole suite: the pristine corpus loads
-    // from both formats with identical events.
+    // from every format with identical events.
     const Trace &original = corpusTrace();
     std::stringstream buffer;
     original.save(buffer);
     const Trace reloaded = Trace::load(buffer);
     ASSERT_EQ(reloaded.size(), original.size());
 
-    ScopedFile file(scratchPath("pristine.gmt"));
-    packTrace(original, file.path, "fuzz");
-    BinaryTraceSource source(file.path);
-    std::size_t i = 0;
-    while (const Event *e = source.peek()) {
-        ASSERT_LT(i, original.size());
-        const Event &want = original.events()[i];
-        EXPECT_EQ(e->kind, want.kind) << i;
-        EXPECT_EQ(e->bytes, want.bytes) << i;
-        source.advance();
-        ++i;
+    for (const BinaryFormat &format : kBinaryFormats) {
+        ScopedFile file(scratchPath(std::string("pristine.") + format.name));
+        format.write(file.path);
+        EXPECT_TRUE(format.loadsEqual(file.path)) << format.name;
     }
-    EXPECT_EQ(i, original.size());
 }

@@ -16,7 +16,7 @@
  *   gmlake_sim trace record trace.txt --model GPT-2
  *   gmlake_sim trace record trace.gmt --model GPT-2
  *   gmlake_sim trace pack trace.txt trace.gmt
- *   gmlake_sim trace info trace.gmt
+ *   gmlake_sim trace info trace.gmt     (or a --timeline-bin .gmo)
  *   gmlake_sim trace replay trace.gmt --allocator gmlake --snapshot
  *
  * Replay sniffs the file format: `.gmt` binary traces stream through
@@ -40,6 +40,7 @@
 #include "sim/runner.hh"
 #include "sim/session.hh"
 #include "sim/sweep.hh"
+#include "support/columnar_file.hh"
 #include "support/logging.hh"
 #include "support/strings.hh"
 #include "support/table.hh"
@@ -331,7 +332,8 @@ printHelp()
         "  trace pack IN... OUT.gmt  convert text traces to one "
         "binary\n"
         "                            file, one section per input\n"
-        "  trace info FILE.gmt       print sections and stats\n\n"
+        "  trace info FILE           print the sections of a .gmt\n"
+        "                            (with stats) or .gmo file\n\n"
         "Workload selection (trace run | record):\n";
     printFlagGroup(kWorkloadFlags);
     std::cout << "\nDevice and allocator (trace run | replay):\n";
@@ -633,21 +635,37 @@ doTracePack(const std::vector<std::string> &paths)
 int
 doTraceInfo(const std::string &path)
 {
-    const auto file = workload::GmtFile::open(path);
-    std::cout << path << ": gmt v" << file->version() << ", "
-              << formatBytes(file->fileBytes()) << ", "
-              << file->sections().size() << " section"
-              << (file->sections().size() == 1 ? "" : "s") << "\n";
-    Table table({"Section", "Events", "Chunks", "Bytes", "Allocs",
-                 "Alloc bytes", "Max alloc", "Iters"});
-    for (const auto &s : file->sections()) {
-        table.addRow({s.name, std::to_string(s.events),
-                      std::to_string(s.chunks),
-                      formatBytes(s.byteLength),
-                      std::to_string(s.stats.allocCount),
-                      formatBytes(s.stats.totalAllocBytes),
-                      formatBytes(s.stats.maxAllocBytes),
-                      std::to_string(s.stats.iterations)});
+    // A .gmt adds its trace stats; any other container file (a .gmo
+    // timeline) lists the container's section index alone.
+    const bool gmt = workload::looksLikeGmtFile(path);
+    const auto trace = gmt ? workload::GmtFile::open(path) : nullptr;
+    const ColumnarFile file =
+        gmt ? trace->container() : ColumnarFile::open(path);
+    std::cout << path << ": " << file.magic() << " v"
+              << file.version() << ", "
+              << formatBytes(file.fileBytes()) << ", "
+              << file.sections().size() << " section"
+              << (file.sections().size() == 1 ? "" : "s") << "\n";
+    std::vector<std::string> header = {"Section", "Events", "Chunks",
+                                       "Bytes"};
+    if (gmt)
+        header.insert(header.end(), {"Allocs", "Alloc bytes",
+                                     "Max alloc", "Iters"});
+    Table table(header);
+    for (std::size_t i = 0; i < file.sections().size(); ++i) {
+        const ColumnarSection &s = file.sections()[i];
+        std::vector<std::string> row = {
+            s.name, std::to_string(s.events), std::to_string(s.chunks),
+            formatBytes(s.byteLength)};
+        if (gmt) {
+            const workload::TraceStats &st =
+                trace->sections()[i].stats;
+            row.insert(row.end(), {std::to_string(st.allocCount),
+                                   formatBytes(st.totalAllocBytes),
+                                   formatBytes(st.maxAllocBytes),
+                                   std::to_string(st.iterations)});
+        }
+        table.addRow(row);
     }
     table.print(std::cout);
     return 0;
@@ -702,7 +720,7 @@ cmdTrace(int argc, char **argv)
             "       gmlake_sim trace record OUT [options]\n"
             "       gmlake_sim trace replay FILE [options]\n"
             "       gmlake_sim trace pack   IN... OUT.gmt\n"
-            "       gmlake_sim trace info   FILE.gmt\n"
+            "       gmlake_sim trace info   FILE.gmt|FILE.gmo\n"
             "       (gmlake_sim --help shows the options)\n";
         return 1;
     };
