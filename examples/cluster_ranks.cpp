@@ -29,7 +29,7 @@ main()
 
     for (const auto kind : {sim::AllocatorKind::caching,
                             sim::AllocatorKind::gmlake}) {
-        const auto cluster = sim::runCluster(cfg, kind);
+        const auto cluster = sim::runCluster(sim::trainingRun(cfg), kind);
         std::cout << "--- " << sim::allocatorKindName(kind)
                   << " ---\n";
         Table table({"Rank", "Utilization", "Peak active",

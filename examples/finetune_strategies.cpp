@@ -42,9 +42,11 @@ main()
             workload::estimatePersistentBytes(cfg);
 
         const auto caching =
-            sim::runScenario(cfg, sim::AllocatorKind::caching);
+            sim::replay(sim::trainingRun(cfg),
+                        sim::AllocatorKind::caching).combined;
         const auto lake =
-            sim::runScenario(cfg, sim::AllocatorKind::gmlake);
+            sim::replay(sim::trainingRun(cfg),
+                        sim::AllocatorKind::gmlake).combined;
 
         std::string gain = "-";
         if (!caching.oom && !lake.oom &&

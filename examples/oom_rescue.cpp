@@ -36,11 +36,12 @@ largestFittingBatch(sim::AllocatorKind kind)
 {
     int lo = 1, hi = 256;
     // Invariant: lo fits, hi does not.
-    if (sim::runScenario(config(hi), kind).oom == false)
+    if (sim::replay(sim::trainingRun(config(hi)), kind).combined.oom == false)
         return hi;
     while (hi - lo > 1) {
         const int mid = (lo + hi) / 2;
-        const auto r = sim::runScenario(config(mid), kind);
+        const auto r =
+            sim::replay(sim::trainingRun(config(mid)), kind).combined;
         (r.oom ? hi : lo) = mid;
     }
     return lo;
@@ -59,10 +60,11 @@ main()
     const int lakeMax = largestFittingBatch(sim::AllocatorKind::gmlake);
 
     const auto atCachingLimit =
-        sim::runScenario(config(cachingMax),
-                         sim::AllocatorKind::caching);
+        sim::replay(sim::trainingRun(config(cachingMax)),
+                    sim::AllocatorKind::caching).combined;
     const auto atLakeLimit =
-        sim::runScenario(config(lakeMax), sim::AllocatorKind::gmlake);
+        sim::replay(sim::trainingRun(config(lakeMax)),
+                    sim::AllocatorKind::gmlake).combined;
 
     std::cout << "  caching allocator: max batch " << cachingMax
               << " per GPU (reserved "

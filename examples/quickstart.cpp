@@ -60,7 +60,7 @@ scenarioDemo()
 
     for (const auto kind : {sim::AllocatorKind::caching,
                             sim::AllocatorKind::gmlake}) {
-        const auto r = sim::runScenario(config, kind);
+        const auto r = sim::replay(sim::trainingRun(config), kind).combined;
         std::cout << "  " << r.allocator << ": peak active "
                   << formatBytes(r.peakActive) << ", peak reserved "
                   << formatBytes(r.peakReserved) << ", utilization "

@@ -39,9 +39,11 @@ main()
         workload::TrainConfig cfg = base;
         cfg.gpus = gpus;
         const auto caching =
-            sim::runScenario(cfg, sim::AllocatorKind::caching);
+            sim::replay(sim::trainingRun(cfg),
+                        sim::AllocatorKind::caching).combined;
         const auto lake =
-            sim::runScenario(cfg, sim::AllocatorKind::gmlake);
+            sim::replay(sim::trainingRun(cfg),
+                        sim::AllocatorKind::gmlake).combined;
         const Bytes saved =
             caching.peakReserved > lake.peakReserved
                 ? caching.peakReserved - lake.peakReserved

@@ -1,12 +1,12 @@
 #include "sim/chaos.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <memory>
 #include <utility>
 
 #include "alloc/allocator.hh"
-#include "sim/session.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
 #include "support/stopwatch.hh"
@@ -19,18 +19,6 @@ namespace gmlake::sim
 
 namespace
 {
-
-/** start + total compute of one session, i.e. its final local time. */
-Tick
-traceSpan(const workload::Trace &trace, Tick startTime)
-{
-    Tick local = startTime;
-    for (const workload::Event &event : trace.events()) {
-        if (event.kind == workload::EventKind::compute)
-            local += event.computeNs;
-    }
-    return local;
-}
 
 /**
  * Post-run accounting: the deep allocator audit plus a simulated-
@@ -80,60 +68,55 @@ runChaosTrial(const ChaosOptions &options, std::uint64_t trialSeed)
     record.faultSeed = trialSeed;
     const Stopwatch wall;
     try {
-        SweepScenario scenario = buildSweepScenario(
-            options.scenario, options.workloadSeed,
-            options.iterations);
-        vmm::Device device(scenario.device);
-        const auto allocator =
-            makeAllocator(options.kind, device, scenario.base);
+        RunSpec row = findRow(options.scenario, options.overrides);
+        row.engine.recordSeries = false;
+        row.engine.abortSessionOnFault = true;
 
-        if (!options.faultSpec.empty()) {
-            vmm::FaultPlan plan =
-                vmm::FaultPlan::parse(options.faultSpec);
-            if (!plan.empty())
-                device.installFaultInjector(std::move(plan),
-                                            trialSeed);
-        }
-
-        EngineOptions engineOptions;
-        engineOptions.recordSeries = false;
-        engineOptions.abortSessionOnFault = true;
-        // Scripted kills: each tenant dies with killChance at an
-        // instant uniform over the scenario span — a deterministic
-        // function of the trial seed, like the fault plan draws.
-        Rng rng(deriveSeed(trialSeed, 0xC4A05ULL));
-        Tick span = 0;
-        for (std::size_t i = 0; i < scenario.traces.size(); ++i) {
-            span = std::max(span, traceSpan(scenario.traces[i],
-                                            scenario.startTimes[i]));
-        }
-        for (std::size_t i = 0; i < scenario.traces.size(); ++i) {
-            if (!rng.chance(options.killChance))
-                continue;
-            const Tick at = static_cast<Tick>(rng.uniformInt(
-                1, span > 0 ? static_cast<std::uint64_t>(span) : 1));
-            engineOptions.tenantKills.emplace_back(i, at);
-        }
-        record.scriptedKills = engineOptions.tenantKills.size();
-
-        SimEngine engine(*allocator, device, engineOptions);
-        for (std::size_t i = 0; i < scenario.traces.size(); ++i) {
-            engine.addSession(Session(scenario.sessionNames[i],
-                                      &scenario.traces[i],
-                                      scenario.startTimes[i]));
-        }
-        MultiRunResult multi = engine.run();
-        record.result = std::move(multi.combined);
-        for (const SessionResult &session : multi.sessions) {
-            if (session.oom)
-                ++record.oomSessions;
-        }
-        if (device.faultInjector() != nullptr)
-            record.capacityLost =
-                device.faultInjector()->counters().capacityLost;
-
-        auditTrial(*allocator, device, record);
-        record.auditPassed = true;
+        ReplayHooks hooks;
+        hooks.setup = [&](vmm::Device &device, alloc::Allocator &,
+                          EngineOptions &engine,
+                          const std::vector<Session> &sessions) {
+            if (!options.faultSpec.empty()) {
+                vmm::FaultPlan plan =
+                    vmm::FaultPlan::parse(options.faultSpec);
+                if (!plan.empty())
+                    device.installFaultInjector(std::move(plan),
+                                                trialSeed);
+            }
+            // Scripted kills: each tenant dies with killChance at an
+            // instant uniform over the row's span — a deterministic
+            // function of the trial seed, like the fault plan draws.
+            Rng rng(deriveSeed(trialSeed, 0xC4A05ULL));
+            Tick span = 0;
+            for (const Session &session : sessions) {
+                span = std::max(span, sourceEnd(session.source(),
+                                                session.startTime()));
+            }
+            for (std::size_t i = 0; i < sessions.size(); ++i) {
+                if (!rng.chance(options.killChance))
+                    continue;
+                const Tick at = static_cast<Tick>(rng.uniformInt(
+                    1,
+                    span > 0 ? static_cast<std::uint64_t>(span) : 1));
+                engine.tenantKills.emplace_back(i, at);
+            }
+            record.scriptedKills = engine.tenantKills.size();
+        };
+        hooks.finish = [&](vmm::Device &device,
+                           alloc::Allocator &allocator,
+                           const MultiRunResult &multi) {
+            record.result = multi.combined;
+            for (const SessionResult &session : multi.sessions) {
+                if (session.oom)
+                    ++record.oomSessions;
+            }
+            if (device.faultInjector() != nullptr)
+                record.capacityLost =
+                    device.faultInjector()->counters().capacityLost;
+            auditTrial(allocator, device, record);
+            record.auditPassed = true;
+        };
+        replay(row, options.allocator, hooks);
     } catch (const PanicError &e) {
         record.internalError = true;
         record.error = e.what();
@@ -149,27 +132,24 @@ ChaosReport
 runChaos(const ChaosOptions &options)
 {
     GMLAKE_ASSERT(options.trials >= 1, "chaos soak needs >= 1 trial");
-    const auto &names = sweepScenarioNames();
-    if (std::find(names.begin(), names.end(), options.scenario) ==
-        names.end())
-        GMLAKE_FATAL("unknown chaos scenario: ", options.scenario,
-                     " (available: smoke, train, colocate)");
-    // Validate the spec once, loudly, before the soak: a malformed
-    // spec is user error, not K identical internal-error trials.
+    // Resolve the row and validate the spec once, loudly, before the
+    // soak: a bad name or a malformed spec is user error, not K
+    // identical internal-error trials.
+    const RunSpec row = findRow(options.scenario, options.overrides);
     if (!options.faultSpec.empty())
         (void)vmm::FaultPlan::parse(options.faultSpec);
 
     const Stopwatch wall;
     ChaosReport report;
     report.scenario = options.scenario;
-    report.allocator = allocatorKindName(options.kind);
+    report.allocator = options.allocator.name();
     report.faultSpec = options.faultSpec;
     report.faultSeed = options.faultSeed;
-    report.workloadSeed = options.workloadSeed;
+    report.workloadSeed = row.seed;
     report.trials.reserve(options.trials);
     for (std::size_t k = 0; k < options.trials; ++k) {
         // A one-trial run uses the base seed verbatim, so any trial
-        // of a soak replays as `--fault-seed <its seed> --soak 1`.
+        // of a soak replays as a one-trial run of its own seed.
         const std::uint64_t trialSeed =
             options.trials > 1 ? deriveSeed(options.faultSeed, k)
                                : options.faultSeed;
@@ -177,6 +157,80 @@ runChaos(const ChaosOptions &options)
     }
     report.totalWallNs = wall.elapsedNs();
     return report;
+}
+
+namespace
+{
+
+/** @p word as one shell word (no value here holds a quote). */
+std::string
+shellWord(const std::string &word)
+{
+    const bool plain =
+        !word.empty() &&
+        word.find_first_not_of("ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                               "abcdefghijklmnopqrstuvwxyz"
+                               "0123456789_./:=,+-") == std::string::npos;
+    return plain ? word : "'" + word + "'";
+}
+
+} // namespace
+
+std::string
+chaosReplayLine(const ChaosOptions &options, std::uint64_t trialSeed)
+{
+    const ExperimentOptions &o = options.overrides;
+    // Shortest text that reads back as the same double.
+    char killChance[32];
+    const auto end = std::to_chars(killChance,
+                                   killChance + sizeof(killChance),
+                                   options.killChance)
+                         .ptr;
+    std::string line = detail::concat(
+        "gmlake_sim chaos ", shellWord(options.scenario),
+        " --fault-seed ", trialSeed, " --soak 1");
+    if (o.seed != 0)
+        line += detail::concat(" --seed ", o.seed);
+    if (o.iterations > 0)
+        line += detail::concat(" --iterations ", o.iterations);
+    if (o.deviceCapacity != 0)
+        line += detail::concat(" --capacity ", o.deviceCapacity / GiB);
+    line += " --allocator " + shellWord(options.allocator.name()) +
+            " --kill-chance " + std::string(killChance, end);
+    if (!options.faultSpec.empty())
+        line += " --faults " + shellWord(options.faultSpec);
+    return line;
+}
+
+ChaosArgs
+parseChaosArgs(const std::vector<std::string> &args)
+{
+    ChaosArgs parsed;
+    ChaosOptions &o = parsed.options;
+    o.scenario = parseRowArgs(
+        args, o.overrides, o.allocator, parsed.help,
+        [&](const std::string &arg, const FlagValue &value) {
+            if (arg == "--faults") {
+                o.faultSpec = value();
+            } else if (arg == "--fault-seed") {
+                o.faultSeed = parseUnsignedFlag("--fault-seed", value());
+            } else if (arg == "--soak") {
+                o.trials = parseUnsignedFlag("--soak", value());
+                if (o.trials == 0)
+                    GMLAKE_FATAL("--soak needs at least 1 trial");
+            } else if (arg == "--kill-chance") {
+                o.killChance = parseRealFlag("--kill-chance", value());
+                if (!(o.killChance >= 0.0 && o.killChance <= 1.0))
+                    GMLAKE_FATAL("--kill-chance needs a probability "
+                                 "in [0, 1]");
+            } else if (arg == "--out") {
+                parsed.outPath = value();
+            } else {
+                return false;
+            }
+            return true;
+        });
+    return parsed;
 }
 
 std::size_t
@@ -218,7 +272,7 @@ writeChaosJson(const ChaosReport &report,
         << "\"fault_seed\": " << report.faultSeed << ", "
         << "\"fault_spec\": \"" << report.faultSpec << "\", "
         << "\"soak\": " << report.trials.size() << ", "
-        << "\"iterations\": " << options.iterations << ", "
+        << "\"iterations\": " << options.overrides.iterations << ", "
         << "\"kill_chance\": " << options.killChance << "},\n"
         << "  \"exit_code\": " << report.exitCode() << ",\n"
         << "  \"failures\": " << report.failures() << ",\n"

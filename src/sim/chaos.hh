@@ -2,7 +2,7 @@
  * @file
  * Chaos / fault-injection soak harness.
  *
- * A chaos run replays a sweep scenario's co-located tenants while a
+ * A chaos run replays one registry row's tenants while a
  * vmm::FaultPlan sabotages the device underneath them — randomized
  * OOM storms (probabilistic memCreate failures), mapping faults,
  * burst capacity loss — plus scripted tenant kills drawn from the
@@ -10,10 +10,11 @@
  * invariant audit runs and a teardown leak check verifies the device
  * holds exactly the capacity the injector destroyed, nothing more.
  *
- * Everything is a deterministic function of (scenario, workload seed,
- * fault spec, fault seed): a soak of K trials derives per-trial seeds
- * from the base fault seed and prints them, so any failing trial
- * replays bit-identically from its printed seed alone.
+ * Everything is a deterministic function of the options (row,
+ * overrides, allocator, fault spec, kill chance) and the fault seed:
+ * a soak of K trials derives per-trial seeds from the base fault seed
+ * and prints each failing trial's replay line (chaosReplayLine), so
+ * it replays bit-identically from that line alone.
  */
 
 #ifndef GMLAKE_SIM_CHAOS_HH
@@ -23,8 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/runner.hh"
-#include "sim/sweep.hh"
+#include "sim/experiment.hh"
 #include "vmm/fault_injector.hh"
 
 namespace gmlake::sim
@@ -32,23 +32,21 @@ namespace gmlake::sim
 
 struct ChaosOptions
 {
-    /** Sweep scenario name ("smoke", "train", "colocate"). */
-    std::string scenario = "smoke";
-    AllocatorKind kind = AllocatorKind::gmlake;
-    /** Workload seed (trace generation), as in `gmlake_sim sweep`. */
-    std::uint64_t workloadSeed = 42;
+    /** Row reference resolved through the registry (findRow). */
+    std::string scenario = "sweep-smoke";
+    AllocatorVariant allocator = AllocatorKind::gmlake;
+    /** Workload seed, iteration and capacity overrides for the row. */
+    ExperimentOptions overrides;
     /**
      * Base fault seed. A single trial uses it verbatim; a soak of
      * K > 1 trials runs trial k with deriveSeed(faultSeed, k), so
-     * replaying one failing trial is `--fault-seed <printed> --soak 1`.
+     * one failing trial replays as a one-trial run of its seed.
      */
     std::uint64_t faultSeed = 1;
     /** vmm::FaultPlan spec (see FaultPlan::parse); empty = no plan. */
     std::string faultSpec;
     /** Number of randomized trials (>= 1). */
     std::size_t trials = 1;
-    /** Scenario scale override; <= 0 keeps the scenario default. */
-    int iterations = 0;
     /**
      * Per-session probability of a scripted kill, drawn from the
      * trial seed; the kill instant is uniform over the scenario span.
@@ -59,7 +57,7 @@ struct ChaosOptions
 /** Outcome of one chaos trial. */
 struct ChaosTrialRecord
 {
-    /** Effective fault seed (replay with --fault-seed S --soak 1). */
+    /** Effective fault seed (see chaosReplayLine). */
     std::uint64_t faultSeed = 0;
     /** Combined engine result (fault counters included). */
     RunResult result;
@@ -88,6 +86,7 @@ struct ChaosReport
     std::string faultSpec;
     /** Base fault seed the per-trial seeds derive from. */
     std::uint64_t faultSeed = 0;
+    /** The row's effective workload seed. */
     std::uint64_t workloadSeed = 0;
     std::vector<ChaosTrialRecord> trials;
     std::uint64_t totalWallNs = 0;
@@ -108,9 +107,34 @@ inline constexpr int kChaosExitInternal = 1;
 inline constexpr int kChaosExitOom = 2;
 inline constexpr int kChaosExitAborted = 3;
 
+/** `gmlake_sim chaos` arguments (see parseChaosArgs). */
+struct ChaosArgs
+{
+    ChaosOptions options;
+    std::string outPath; //!< empty = BENCH_chaos_<scenario>.json
+    bool help = false;
+};
+
 /**
- * Run one chaos trial: fresh device + allocator, install the plan
- * under @p trialSeed, replay with chaos knobs on, audit, leak-check.
+ * Parse the arguments after `gmlake_sim chaos`: the row reference,
+ * the shared scenario flags (--seed, --iterations, --capacity,
+ * --allocator), --faults, --fault-seed, --soak, --kill-chance and
+ * --out. Malformed values are fatal.
+ */
+ChaosArgs parseChaosArgs(const std::vector<std::string> &args);
+
+/**
+ * The command that replays one trial of @p options bit for bit: its
+ * row, every override, the allocator, the kill chance and the fault
+ * plan, as a one-trial run of @p trialSeed. parseChaosArgs() reads
+ * it back (shell-quoted words, capacity in GiB).
+ */
+std::string chaosReplayLine(const ChaosOptions &options,
+                            std::uint64_t trialSeed);
+
+/**
+ * Run one chaos trial: replay the row with the plan installed under
+ * @p trialSeed and chaos knobs on, then audit and leak-check.
  * Never throws — panics/fatals are captured in the record.
  */
 ChaosTrialRecord runChaosTrial(const ChaosOptions &options,

@@ -5,7 +5,6 @@
 #include "support/logging.hh"
 #include "support/rng.hh"
 #include "support/thread_pool.hh"
-#include "workload/tracegen.hh"
 
 namespace gmlake::sim
 {
@@ -84,27 +83,40 @@ clusterRankSeed(const workload::TrainConfig &config, int rank)
     return deriveSeed(config.seed, static_cast<std::uint64_t>(rank));
 }
 
-ClusterResult
-runCluster(const workload::TrainConfig &config, AllocatorKind kind,
-           const ScenarioOptions &options, int threads)
+std::vector<RunSpec>
+clusterRanks(const RunSpec &spec)
 {
-    GMLAKE_ASSERT(config.gpus >= 1, "cluster needs at least one rank");
+    GMLAKE_ASSERT(spec.train.has_value(),
+                  "cluster run '", spec.label, "' has no training config");
+    GMLAKE_ASSERT(spec.train->gpus >= 1,
+                  "cluster needs at least one rank");
+    std::vector<RunSpec> ranks;
+    for (int rank = 0; rank < spec.train->gpus; ++rank) {
+        workload::TrainConfig config = *spec.train;
+        config.seed = clusterRankSeed(*spec.train, rank);
+        RunSpec row = trainingRun(config, "rank" + std::to_string(rank));
+        row.device = spec.device;
+        row.gmlake = spec.gmlake;
+        row.caching = spec.caching;
+        row.engine = spec.engine;
+        ranks.push_back(std::move(row));
+    }
+    return ranks;
+}
+
+ClusterResult
+runCluster(const RunSpec &spec, const AllocatorVariant &variant,
+           int threads)
+{
+    const std::vector<RunSpec> ranks = clusterRanks(spec);
     ClusterResult cluster;
-    cluster.ranks.resize(static_cast<std::size_t>(config.gpus));
+    cluster.ranks.resize(ranks.size());
     const std::size_t workers =
         threads == 0 ? ThreadPool::defaultThreads()
                      : static_cast<std::size_t>(std::max(1, threads));
-    // Each rank owns a private device + allocator + seeded trace and
-    // writes only its own result slot, so the parallel schedule
-    // cannot perturb the (rank-ordered) output.
-    parallelFor(cluster.ranks.size(), workers,
-                [&](std::size_t rank) {
-                    workload::TrainConfig rankCfg = config;
-                    rankCfg.seed = clusterRankSeed(
-                        config, static_cast<int>(rank));
-                    cluster.ranks[rank] =
-                        runScenario(rankCfg, kind, options);
-                });
+    parallelFor(ranks.size(), workers, [&](std::size_t rank) {
+        cluster.ranks[rank] = replay(ranks[rank], variant).combined;
+    });
     return cluster;
 }
 

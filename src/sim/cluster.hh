@@ -41,9 +41,16 @@ std::uint64_t clusterRankSeed(const workload::TrainConfig &config,
                               int rank);
 
 /**
- * Run @p config on every rank (config.gpus devices). Rank r uses the
- * splitmix-derived seed clusterRankSeed(config, r), modelling
- * per-rank data without cross-base-seed collisions.
+ * One row per data-parallel rank of the training run @p spec
+ * (spec.train->gpus ranks, labelled "rank<r>"). Rank r replays the
+ * config under clusterRankSeed(config, r), modelling per-rank data
+ * without cross-base-seed collisions; device, allocator and engine
+ * settings are the spec's.
+ */
+std::vector<RunSpec> clusterRanks(const RunSpec &spec);
+
+/**
+ * Replay every rank of clusterRanks(@p spec) under @p variant.
  *
  * Ranks are independent — each owns a private device, allocator, and
  * trace — so with @p threads > 1 they execute on a ThreadPool
@@ -52,9 +59,8 @@ std::uint64_t clusterRankSeed(const workload::TrainConfig &config,
  * result vector, making the outcome bit-identical to the sequential
  * (threads == 1) run regardless of scheduling.
  */
-ClusterResult runCluster(const workload::TrainConfig &config,
-                         AllocatorKind kind,
-                         const ScenarioOptions &options = {},
+ClusterResult runCluster(const RunSpec &spec,
+                         const AllocatorVariant &variant,
                          int threads = 1);
 
 } // namespace gmlake::sim

@@ -20,6 +20,55 @@
 namespace gmlake::sim
 {
 
+// --------------------------------------------------------- options
+
+int
+ExperimentOptions::iterationsOr(int scenarioDefault) const
+{
+    return iterations > 0 ? iterations : scenarioDefault;
+}
+
+std::uint64_t
+ExperimentOptions::seedOr(std::uint64_t scenarioDefault) const
+{
+    return seed != 0 ? seed : scenarioDefault;
+}
+
+int
+ExperimentOptions::threadCount() const
+{
+    if (threads == 0)
+        return static_cast<int>(ThreadPool::defaultThreads());
+    return std::max(1, threads);
+}
+
+workload::TrainConfig
+ExperimentOptions::adjust(workload::TrainConfig cfg) const
+{
+    cfg.iterations = iterationsOr(cfg.iterations);
+    cfg.seed = seedOr(cfg.seed);
+    return cfg;
+}
+
+workload::ServeConfig
+ExperimentOptions::adjust(workload::ServeConfig cfg) const
+{
+    // Serving has no iteration knob; scale the request count so a
+    // smoke run (--iterations 2) stays proportionally short.
+    if (iterations > 0)
+        cfg.requests = std::min(cfg.requests, 16 * iterations);
+    cfg.seed = seedOr(cfg.seed);
+    return cfg;
+}
+
+vmm::DeviceConfig
+ExperimentOptions::adjust(vmm::DeviceConfig cfg) const
+{
+    if (deviceCapacity != 0)
+        cfg.capacity = deviceCapacity;
+    return cfg;
+}
+
 // --------------------------------------------------------- context
 
 ExperimentContext::ExperimentContext(const ExperimentOptions &options,
@@ -28,106 +77,36 @@ ExperimentContext::ExperimentContext(const ExperimentOptions &options,
 {
 }
 
-int
-ExperimentContext::iterations(int scenarioDefault) const
+MultiRunResult
+ExperimentContext::replay(const RunSpec &row,
+                          const AllocatorVariant &variant,
+                          const ReplayHooks &hooks)
 {
-    return mOptions.iterations > 0 ? mOptions.iterations
-                                   : scenarioDefault;
-}
-
-int
-ExperimentContext::threads() const
-{
-    if (mOptions.threads == 0)
-        return static_cast<int>(ThreadPool::defaultThreads());
-    return std::max(1, mOptions.threads);
-}
-
-workload::TrainConfig
-ExperimentContext::adjust(workload::TrainConfig cfg) const
-{
-    cfg.iterations = iterations(cfg.iterations);
-    if (mOptions.seed != 0)
-        cfg.seed = mOptions.seed;
-    return cfg;
-}
-
-workload::ServeConfig
-ExperimentContext::adjust(workload::ServeConfig cfg) const
-{
-    // Serving has no iteration knob; scale the request count so a
-    // smoke run (--iterations 2) stays proportionally short.
-    if (mOptions.iterations > 0) {
-        cfg.requests =
-            std::min(cfg.requests, 16 * mOptions.iterations);
-    }
-    if (mOptions.seed != 0)
-        cfg.seed = mOptions.seed;
-    return cfg;
-}
-
-vmm::DeviceConfig
-ExperimentContext::adjust(vmm::DeviceConfig cfg) const
-{
-    if (mOptions.deviceCapacity != 0)
-        cfg.capacity = mOptions.deviceCapacity;
-    return cfg;
-}
-
-ScenarioOptions
-ExperimentContext::adjust(ScenarioOptions scenario) const
-{
-    scenario.device = adjust(scenario.device);
-    return scenario;
-}
-
-RunResult
-ExperimentContext::run(const workload::TrainConfig &cfg,
-                       AllocatorKind kind,
-                       const ScenarioOptions &scenario,
-                       const std::string &label)
-{
-    const workload::TrainConfig adjusted = adjust(cfg);
-    const ScenarioOptions opts = adjust(scenario);
-    const std::string row =
-        label.empty() ? adjusted.describe() : label;
-    if (mRecorder != nullptr) {
-        mRecorder->beginRun(row + " [" +
-                            allocatorKindName(kind) + "]");
-    }
-    RunResult result = runScenario(adjusted, kind, opts);
-    record(row, result.allocator, result);
-    return result;
+    if (mRecorder != nullptr)
+        mRecorder->beginRun(row.label + " [" + variant.name() + "]");
+    // The record is placed before the caller's finish hook runs, so
+    // whatever it reports from the live device and allocator follows
+    // the run; the result is filled in once the replay has released
+    // its device, allocator and traces.
+    const std::size_t index = mRecords.size();
+    ReplayHooks recorded = hooks;
+    recorded.finish = [&](vmm::Device &device, alloc::Allocator &allocator,
+                          const MultiRunResult &multi) {
+        record(row.label, variant.name(), RunResult{});
+        if (hooks.finish)
+            hooks.finish(device, allocator, multi);
+    };
+    MultiRunResult multi = sim::replay(row, variant, recorded);
+    mRecords[index].result = multi.combined;
+    return multi;
 }
 
 BenchPair
-ExperimentContext::runPair(const workload::TrainConfig &cfg,
-                           const ScenarioOptions &scenario,
-                           const std::string &label)
+ExperimentContext::replayPair(const RunSpec &row)
 {
-    return BenchPair{
-        run(cfg, AllocatorKind::caching, scenario, label),
-        run(cfg, AllocatorKind::gmlake, scenario, label),
-    };
-}
-
-RunResult
-ExperimentContext::runTrace(AllocatorKind kind,
-                            const workload::Trace &trace,
-                            const std::string &label,
-                            const ScenarioOptions &scenario)
-{
-    const ScenarioOptions opts = adjust(scenario);
-    if (mRecorder != nullptr) {
-        mRecorder->beginRun(label + " [" +
-                            allocatorKindName(kind) + "]");
-    }
-    vmm::Device device(opts.device);
-    const auto allocator = makeAllocator(kind, device, opts.gmlake);
-    RunResult result = sim::runTrace(*allocator, device, trace,
-                                     nullptr, opts.engine);
-    record(label, result.allocator, result);
-    return result;
+    const RunSpec shared = materialize(row);
+    return BenchPair{replay(shared, AllocatorKind::caching).combined,
+                     replay(shared, AllocatorKind::gmlake).combined};
 }
 
 void
@@ -147,47 +126,69 @@ ExperimentContext::metric(const std::string &label,
 
 // -------------------------------------------------------- registry
 
-ExperimentRegistry &
-ExperimentRegistry::instance()
-{
-    static ExperimentRegistry registry;
-    return registry;
-}
-
-void
-ExperimentRegistry::add(Experiment experiment)
-{
-    GMLAKE_ASSERT(!experiment.name.empty(),
-                  "experiment needs a name");
-    GMLAKE_ASSERT(experiment.run != nullptr, "experiment ",
-                  experiment.name, " needs a run function");
-    if (find(experiment.name) != nullptr) {
-        GMLAKE_PANIC("duplicate experiment name: ", experiment.name);
-    }
-    mExperiments.push_back(std::move(experiment));
-}
-
-const Experiment *
-ExperimentRegistry::find(const std::string &name) const
-{
-    const auto it = std::find_if(
-        mExperiments.begin(), mExperiments.end(),
-        [&](const Experiment &e) { return e.name == name; });
-    return it == mExperiments.end() ? nullptr : &*it;
-}
-
-const std::vector<Experiment> &
-allExperiments()
-{
-    registerBuiltinExperiments();
-    return ExperimentRegistry::instance().all();
-}
-
 const Experiment *
 findExperiment(const std::string &name)
 {
-    registerBuiltinExperiments();
-    return ExperimentRegistry::instance().find(name);
+    const auto &all = allExperiments();
+    const auto it = std::find_if(
+        all.begin(), all.end(),
+        [&](const Experiment &e) { return e.name == name; });
+    return it == all.end() ? nullptr : &*it;
+}
+
+namespace
+{
+
+std::string
+replayingScenarioNames()
+{
+    std::string names;
+    for (const Experiment &e : allExperiments()) {
+        if (!e.rows)
+            continue;
+        names += names.empty() ? "" : ", ";
+        names += e.name;
+    }
+    return names;
+}
+
+} // namespace
+
+RunSpec
+findRow(const std::string &ref, const ExperimentOptions &options)
+{
+    const std::size_t slash = ref.find('/');
+    const std::string name = ref.substr(0, slash);
+    const Experiment *experiment = findExperiment(name);
+    if (experiment == nullptr)
+        GMLAKE_FATAL("unknown scenario: ", name,
+                     " (replaying scenarios: ", replayingScenarioNames(),
+                     ")");
+    if (!experiment->rows)
+        GMLAKE_FATAL("scenario ", name, " records no run to replay "
+                     "(replaying scenarios: ", replayingScenarioNames(),
+                     ")");
+    std::vector<RunSpec> rows = experiment->rows(options);
+    std::string labels;
+    for (const RunSpec &row : rows) {
+        labels += labels.empty() ? "'" : ", '";
+        labels += row.label;
+        labels += '\'';
+    }
+    if (slash == std::string::npos) {
+        if (rows.size() != 1)
+            GMLAKE_FATAL("scenario ", name, " has ", rows.size(),
+                         " rows; name one as ", name,
+                         "/<row> (rows: ", labels, ")");
+        return std::move(rows.front());
+    }
+    const std::string label = ref.substr(slash + 1);
+    for (RunSpec &row : rows) {
+        if (row.label == label)
+            return std::move(row);
+    }
+    GMLAKE_FATAL("unknown row '", label, "' of scenario ", name,
+                 " (rows: ", labels, ")");
 }
 
 // -------------------------------------------------------- artifacts
@@ -219,6 +220,16 @@ jsonEscape(const std::string &s)
     return out;
 }
 
+/** @p s as a quoted, escaped JSON string. */
+std::string
+jsonString(const std::string &s)
+{
+    std::string quoted = "\"";
+    quoted += jsonEscape(s);
+    quoted += '"';
+    return quoted;
+}
+
 std::string
 jsonDouble(double v)
 {
@@ -245,8 +256,8 @@ jsonRecordFields(const RunRecord &r)
     const RunResult &res = r.result;
     auto u = [](std::uint64_t v) { return std::to_string(v); };
     return {
-        {"label", "\"" + jsonEscape(r.label) + "\""},
-        {"allocator", "\"" + jsonEscape(r.allocator) + "\""},
+        {"label", jsonString(r.label)},
+        {"allocator", jsonString(r.allocator)},
         {"oom", res.oom ? "true" : "false"},
         {"utilization", jsonDouble(res.utilization)},
         {"fragmentation", jsonDouble(res.fragmentation)},
@@ -273,14 +284,17 @@ jsonRecordFields(const RunRecord &r)
     };
 }
 
-constexpr const char *kCsvHeader =
-    "scenario,label,allocator,oom,utilization,"
-    "fragmentation,peak_active_bytes,peak_reserved_bytes,"
-    "sim_time_ns,samples_per_sec,alloc_count,free_count,"
-    "device_api_time_ns,alloc_wall_ns,alloc_wall_p50_ns,"
-    "alloc_wall_p99_ns,run_wall_ns,vmm_wall_ns,"
-    "evicted_bytes,faulted_bytes,stall_ns,offload_wall_ns,"
-    "injected_faults,recovered,aborted_sessions,rollbacks";
+/** The --csv header: "scenario" plus the JSON record keys. */
+std::string
+csvHeader()
+{
+    std::string header = "scenario";
+    for (const auto &[key, value] : jsonRecordFields(RunRecord{})) {
+        header += ',';
+        header += key;
+    }
+    return header;
+}
 
 void
 writeCsv(const Experiment &experiment,
@@ -297,7 +311,7 @@ writeCsv(const Experiment &experiment,
         std::getline(in, header);
         if (!header.empty() && header.back() == '\r')
             header.pop_back();
-        if (header != kCsvHeader) {
+        if (header != csvHeader()) {
             GMLAKE_FATAL("CSV ", path, " has a different column "
                          "set; move it aside to start a fresh "
                          "trajectory");
@@ -307,7 +321,7 @@ writeCsv(const Experiment &experiment,
     if (!out)
         GMLAKE_FATAL("cannot open CSV for writing: ", path);
     if (fresh)
-        out << kCsvHeader << '\n';
+        out << csvHeader() << '\n';
     auto csvField = [](std::string s) {
         for (char &c : s) {
             if (c == ',' || c == '\n')
@@ -315,28 +329,17 @@ writeCsv(const Experiment &experiment,
         }
         return s;
     };
+    // The JSON record fields, in order, except that the two strings
+    // are unquoted and oom is 0/1.
     for (const RunRecord &r : context.records()) {
-        out << experiment.name << ',' << csvField(r.label) << ','
-            << csvField(r.allocator) << ',' << (r.result.oom ? 1 : 0)
-            << ',' << r.result.utilization << ','
-            << r.result.fragmentation << ',' << r.result.peakActive
-            << ',' << r.result.peakReserved << ',' << r.result.simTime
-            << ',' << r.result.samplesPerSec << ','
-            << r.result.allocCount << ',' << r.result.freeCount << ','
-            << r.result.deviceApiTime << ','
-            << r.result.allocWallNs << ','
-            << r.result.allocWallP50Ns << ','
-            << r.result.allocWallP99Ns << ','
-            << r.result.runWallNs << ','
-            << r.result.vmmWallNs << ','
-            << r.result.evictedBytes << ','
-            << r.result.faultedBytes << ','
-            << r.result.stallNs << ','
-            << r.result.offloadWallNs << ','
-            << r.result.injectedFaults << ','
-            << r.result.recovered << ','
-            << r.result.abortedSessions << ','
-            << r.result.rollbacks << '\n';
+        auto fields = jsonRecordFields(r);
+        fields[0].second = csvField(r.label);
+        fields[1].second = csvField(r.allocator);
+        fields[2].second.assign(1, r.result.oom ? '1' : '0');
+        out << experiment.name;
+        for (const auto &[key, value] : fields)
+            out << ',' << value;
+        out << '\n';
     }
 }
 
@@ -397,7 +400,8 @@ writeJson(const Experiment &experiment,
 const char *
 experimentCsvHeader()
 {
-    return kCsvHeader;
+    static const std::string header = csvHeader();
+    return header.c_str();
 }
 
 const std::vector<std::string> &
@@ -483,23 +487,20 @@ runExperiment(const Experiment &experiment,
     return 0;
 }
 
-namespace
-{
-
 std::uint64_t
-parseUnsigned(const char *flag, const char *value,
-              std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
+parseUnsignedFlag(const char *flag, const std::string &value,
+                  std::uint64_t max)
 {
     std::uint64_t parsed = 0;
     std::size_t consumed = 0;
-    if (value[0] >= '0' && value[0] <= '9') {
+    if (!value.empty() && value[0] >= '0' && value[0] <= '9') {
         try {
             parsed = std::stoull(value, &consumed);
         } catch (const std::exception &) {
             consumed = 0;
         }
     }
-    if (consumed == 0 || value[consumed] != '\0')
+    if (consumed == 0 || consumed != value.size())
         GMLAKE_FATAL("flag ", flag, " needs a non-negative number, "
                      "got '", value, "'");
     if (parsed > max)
@@ -508,7 +509,102 @@ parseUnsigned(const char *flag, const char *value,
     return parsed;
 }
 
+double
+parseRealFlag(const char *flag, const std::string &value)
+{
+    try {
+        std::size_t consumed = 0;
+        const double parsed = std::stod(value, &consumed);
+        if (consumed == value.size())
+            return parsed;
+    } catch (const std::exception &) {
+    }
+    GMLAKE_FATAL("flag ", flag, " needs a real number, got '", value,
+                 "'");
+}
+
+namespace
+{
+
+/**
+ * Apply one of the scenario flags (--iterations, --capacity, --seed,
+ * and --allocator when @p allocator is non-null); false when @p flag
+ * is not one of them.
+ */
+bool
+applyScenarioFlag(const std::string &flag, const FlagValue &value,
+                  ExperimentOptions &options,
+                  AllocatorVariant *allocator = nullptr)
+{
+    if (flag == "--iterations") {
+        options.iterations = static_cast<int>(parseUnsignedFlag(
+            "--iterations", value(), std::numeric_limits<int>::max()));
+    } else if (flag == "--capacity") {
+        options.deviceCapacity =
+            static_cast<Bytes>(parseUnsignedFlag(
+                "--capacity", value(),
+                std::numeric_limits<Bytes>::max() / GiB)) *
+            GiB;
+    } else if (flag == "--seed") {
+        options.seed = parseUnsignedFlag("--seed", value());
+    } else if (flag == "--allocator" && allocator != nullptr) {
+        const std::string name = value();
+        const auto variant = parseAllocatorVariant(name);
+        if (!variant)
+            GMLAKE_FATAL("unknown allocator: ", name,
+                         " (a kind, optionally +offload(lru) or "
+                         "+offload(size-aware); try --help)");
+        *allocator = *variant;
+    } else {
+        return false;
+    }
+    return true;
+}
+
 } // namespace
+
+std::string
+parseRowArgs(
+    const std::vector<std::string> &args, ExperimentOptions &options,
+    AllocatorVariant &allocator, bool &help,
+    const std::function<bool(const std::string &, const FlagValue &)>
+        &verbFlag)
+{
+    std::string row;
+    for (std::size_t i = 0; i < args.size(); ++i) {
+        const std::string &arg = args[i];
+        const FlagValue value = [&]() -> std::string {
+            if (i + 1 >= args.size())
+                GMLAKE_FATAL("flag ", arg, " needs a value");
+            return args[++i];
+        };
+        if (arg == "--help" || arg == "-h")
+            help = true;
+        else if (applyScenarioFlag(arg, value, options, &allocator) ||
+                 verbFlag(arg, value))
+            continue;
+        else if (!arg.empty() && arg[0] == '-')
+            GMLAKE_FATAL("unknown flag: ", arg, " (try --help)");
+        else if (row.empty())
+            row = arg;
+        else
+            GMLAKE_FATAL("unexpected argument: ", arg);
+    }
+    return row;
+}
+
+std::string
+scenarioFlagsHelp(bool allocator)
+{
+    std::string help =
+        "  --iterations N   override the scenario's iterations\n"
+        "  --capacity GiB   override device capacity\n"
+        "  --seed N         override the workload seed\n";
+    if (allocator)
+        help += "  --allocator A    allocator variant (default gmlake;\n"
+                "                   e.g. caching, gmlake+offload(lru))\n";
+    return help;
+}
 
 int
 experimentMain(const std::string &name, int argc, char **argv)
@@ -520,25 +616,24 @@ try {
     }
 
     ExperimentRunOptions options;
-    auto need = [&](int &i) -> const char * {
+    int i = 1;
+    const auto need = [&]() -> std::string {
         if (i + 1 >= argc)
             GMLAKE_FATAL("flag ", argv[i], " needs a value");
         return argv[++i];
     };
-    auto optional = [&](int &i) -> const char * {
+    auto optional = [&]() -> const char * {
         if (i + 1 < argc && argv[i + 1][0] != '-')
             return argv[++i];
         return nullptr;
     };
-    for (int i = 1; i < argc; ++i) {
+    for (; i < argc; ++i) {
         const std::string flag = argv[i];
         if (flag == "--help" || flag == "-h") {
             std::cout
                 << "usage: " << argv[0] << " [options]\n\n"
                 << experiment->title << "\n\n"
-                << "  --iterations N   override training iterations\n"
-                << "  --capacity GiB   override device capacity\n"
-                << "  --seed N         override the workload seed\n"
+                << scenarioFlagsHelp(false)
                 << "  --threads N      worker threads for cluster "
                    "scenarios (0 = all cores)\n"
                 << "  --csv [FILE]     append run records as CSV\n"
@@ -560,37 +655,26 @@ try {
                    "name)\n"
                 << "  --no-banner      suppress the banner\n";
             return 0;
-        } else if (flag == "--iterations") {
-            options.experiment.iterations = static_cast<int>(
-                parseUnsigned("--iterations", need(i),
-                              std::numeric_limits<int>::max()));
-        } else if (flag == "--capacity") {
-            options.experiment.deviceCapacity =
-                static_cast<Bytes>(parseUnsigned(
-                    "--capacity", need(i),
-                    std::numeric_limits<Bytes>::max() / GiB)) *
-                GiB;
-        } else if (flag == "--seed") {
-            options.experiment.seed = parseUnsigned("--seed", need(i));
+        } else if (applyScenarioFlag(flag, need, options.experiment)) {
         } else if (flag == "--threads") {
             options.experiment.threads = static_cast<int>(
-                parseUnsigned("--threads", need(i), 4096));
+                parseUnsignedFlag("--threads", need(), 4096));
         } else if (flag == "--csv") {
-            const char *path = optional(i);
+            const char *path = optional();
             options.csvPath =
                 path ? path : defaultCsvPath(*experiment);
         } else if (flag == "--json") {
-            const char *path = optional(i);
+            const char *path = optional();
             options.jsonPath =
                 path ? path : defaultJsonPath(*experiment);
         } else if (flag == "--timeline") {
-            options.timelinePath = need(i);
+            options.timelinePath = need();
         } else if (flag == "--timeline-bin") {
-            options.timelineBinPath = need(i);
+            options.timelineBinPath = need();
         } else if (flag == "--log-level") {
-            setLogLevel(parseLogLevel(need(i)));
+            setLogLevel(parseLogLevel(need()));
         } else if (flag == "--out") {
-            const std::filesystem::path path = need(i);
+            const std::filesystem::path path = need();
             if (const auto dir = path.parent_path();
                 !dir.empty() && !std::filesystem::is_directory(dir)) {
                 GMLAKE_FATAL("--out directory does not exist: ",

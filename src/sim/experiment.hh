@@ -1,11 +1,12 @@
 /**
  * @file
  * The experiment registry: every figure/table reproduction and
- * extension study registers here as a named scenario (workload sweep,
- * allocator set, device config, metrics). The bench_* binaries, the
- * gmlake_sim `run`/`list` subcommands, CI's bench-smoke job, and the
- * registry test all drive scenarios through this one code path, so a
- * scenario that rots fails CTest instead of a nightly bench.
+ * extension study registers here as a named scenario: its rows (one
+ * RunSpec per recorded run) plus the table it prints. The gmlake_sim
+ * `run`/`list` subcommands, CI's bench-smoke job and the registry
+ * test drive scenarios through this one code path, and `sweep`,
+ * `probe` and `chaos` replay any row of it, so a scenario that rots
+ * fails CTest instead of a nightly bench.
  */
 
 #ifndef GMLAKE_SIM_EXPERIMENT_HH
@@ -30,6 +31,8 @@ namespace gmlake::sim
 /**
  * Cross-cutting overrides honoured by every scenario. CI's smoke job
  * shrinks iteration counts; the registry test shrinks the device.
+ * Scenarios fold them into their rows, so every verb replaying a row
+ * sees the same overridden workload.
  */
 struct ExperimentOptions
 {
@@ -41,9 +44,9 @@ struct ExperimentOptions
     std::uint64_t seed = 0;
     /**
      * Worker threads for scenarios with independent sub-runs
-     * (cluster ranks). 1 = sequential; results are identical either
-     * way, parallelism only changes wall-clock time. 0 = use every
-     * hardware thread.
+     * (cluster ranks, sweep points). 1 = sequential; results are
+     * identical either way, parallelism only changes wall-clock
+     * time. 0 = use every hardware thread.
      */
     int threads = 1;
     /**
@@ -52,13 +55,25 @@ struct ExperimentOptions
      * files; runExperiment() enables it when --csv is requested.
      */
     bool plotFiles = false;
+
+    /** Scenario-default iteration count, unless overridden. */
+    int iterationsOr(int scenarioDefault) const;
+    /** Scenario-default workload seed, unless overridden. */
+    std::uint64_t seedOr(std::uint64_t scenarioDefault) const;
+    /** Resolved worker-thread count (0 -> hardware threads). */
+    int threadCount() const;
+
+    /** Fold the overrides into a workload/device description. */
+    workload::TrainConfig adjust(workload::TrainConfig cfg) const;
+    workload::ServeConfig adjust(workload::ServeConfig cfg) const;
+    vmm::DeviceConfig adjust(vmm::DeviceConfig cfg) const;
 };
 
 /** One allocator run recorded while a scenario executes. */
 struct RunRecord
 {
     std::string label;     //!< scenario row, e.g. "OPT-13B/LR/b16"
-    std::string allocator; //!< allocator (plus knobs when relevant)
+    std::string allocator; //!< AllocatorVariant::name() of the run
     RunResult result;
 };
 
@@ -78,10 +93,9 @@ struct BenchPair
 };
 
 /**
- * Handed to a scenario's run function: applies the option overrides,
- * runs allocators, and records every result for the CSV/JSON report.
- * Human-facing tables go to out(); machine-facing data is whatever
- * was recorded.
+ * Handed to a scenario's run function: replays its rows and records
+ * every result for the CSV/JSON report. Human-facing tables go to
+ * out(); machine-facing data is whatever was recorded.
  */
 class ExperimentContext
 {
@@ -92,35 +106,19 @@ class ExperimentContext
     const ExperimentOptions &options() const { return mOptions; }
     std::ostream &out() { return mOut; }
 
-    /** Scenario-default iteration count, unless overridden. */
-    int iterations(int scenarioDefault) const;
+    /**
+     * Replay @p row under @p variant and record the combined result
+     * as (row.label, variant.name()) — before @p hooks.finish runs,
+     * so a finish hook can add metrics that follow the record.
+     */
+    MultiRunResult replay(const RunSpec &row,
+                          const AllocatorVariant &variant,
+                          const ReplayHooks &hooks = {});
 
-    /** Resolved worker-thread count (0 -> hardware threads). */
-    int threads() const;
+    /** replay() under both paper allocators (caching, gmlake). */
+    BenchPair replayPair(const RunSpec &row);
 
-    /** Fold the overrides into a workload/device description. */
-    workload::TrainConfig adjust(workload::TrainConfig cfg) const;
-    workload::ServeConfig adjust(workload::ServeConfig cfg) const;
-    vmm::DeviceConfig adjust(vmm::DeviceConfig cfg) const;
-    ScenarioOptions adjust(ScenarioOptions scenario) const;
-
-    /** Run one adjusted training scenario and record the result. */
-    RunResult run(const workload::TrainConfig &cfg, AllocatorKind kind,
-                  const ScenarioOptions &scenario = {},
-                  const std::string &label = "");
-
-    /** run() under both paper allocators (caching, gmlake). */
-    BenchPair runPair(const workload::TrainConfig &cfg,
-                      const ScenarioOptions &scenario = {},
-                      const std::string &label = "");
-
-    /** Replay an explicit trace (serving scenarios) and record. */
-    RunResult runTrace(AllocatorKind kind,
-                       const workload::Trace &trace,
-                       const std::string &label = "",
-                       const ScenarioOptions &scenario = {});
-
-    /** Record a run produced outside the helpers (custom knobs). */
+    /** Record a run produced outside replay() (sweep, cluster). */
     void record(const std::string &label, const std::string &allocator,
                 const RunResult &result);
 
@@ -129,9 +127,9 @@ class ExperimentContext
                 double value);
 
     /**
-     * Attach an observability recorder (borrowed). The run helpers
-     * call beginRun() per scenario row so every allocator run gets
-     * its own process lane in the exported timeline. nullptr (the
+     * Attach an observability recorder (borrowed). replay() calls
+     * beginRun() per row and variant so every allocator run gets its
+     * own process lane in the exported timeline. nullptr (the
      * default) records nothing.
      */
     void setRecorder(obs::Recorder *recorder) { mRecorder = recorder; }
@@ -159,34 +157,60 @@ struct Experiment
     std::string title; //!< one-line banner headline
     std::string claim; //!< the paper claim being reproduced
     std::function<void(ExperimentContext &)> run;
+    /**
+     * The runs the scenario records, one RunSpec per row; run()
+     * replays exactly these. Unset for scenarios that record no run
+     * (fig5, fig6, table1). Listing rows builds no trace.
+     */
+    std::function<std::vector<RunSpec>(const ExperimentOptions &)>
+        rows;
 };
 
-class ExperimentRegistry
-{
-  public:
-    static ExperimentRegistry &instance();
-
-    /** Register a scenario; duplicate names are a hard error. */
-    void add(Experiment experiment);
-
-    const Experiment *find(const std::string &name) const;
-    const std::vector<Experiment> &all() const { return mExperiments; }
-
-  private:
-    std::vector<Experiment> mExperiments;
-};
-
-/**
- * Register the built-in figure/table scenarios (registry.cc).
- * Idempotent; called by allExperiments()/findExperiment().
- */
-void registerBuiltinExperiments();
-
-/** Every registered scenario, builtins included, in CLI order. */
+/** Every built-in scenario (registry.cc), in CLI order. */
 const std::vector<Experiment> &allExperiments();
 
 /** Look up one scenario by name; nullptr when unknown. */
 const Experiment *findExperiment(const std::string &name);
+
+/**
+ * Resolve a row reference through the registry: "<scenario>" (a
+ * scenario with one row) or "<scenario>/<row label>" (split at the
+ * first '/'), built under @p options. Unknown names are fatal; the
+ * message lists the replaying scenarios or the scenario's rows.
+ */
+RunSpec findRow(const std::string &ref,
+                const ExperimentOptions &options);
+
+/** Yields the argument of the flag being parsed (fatal if none). */
+using FlagValue = std::function<std::string()>;
+
+/**
+ * Parse the arguments of a verb that replays one row (sweep, probe,
+ * chaos): --help, the scenario flags `run` shares (--iterations N,
+ * --capacity GiB, --seed N) plus --allocator VARIANT, the verb's own
+ * flags through
+ * @p verbFlag (false = not one of its flags) and the row reference,
+ * which is returned (empty when missing). Unknown flags are fatal.
+ */
+std::string parseRowArgs(
+    const std::vector<std::string> &args, ExperimentOptions &options,
+    AllocatorVariant &allocator, bool &help,
+    const std::function<bool(const std::string &, const FlagValue &)>
+        &verbFlag);
+
+/**
+ * Parse a non-negative integer flag value (whole string, at most
+ * @p max); fatal with the flag's name otherwise.
+ */
+std::uint64_t
+parseUnsignedFlag(const char *flag, const std::string &value,
+                  std::uint64_t max = ~std::uint64_t{0});
+
+/** Parse a real-valued flag value (whole string); fatal otherwise. */
+double parseRealFlag(const char *flag, const std::string &value);
+
+/** --help lines for the scenario flags (and --allocator). */
+std::string scenarioFlagsHelp(bool allocator);
 
 /** Artifact emission for one executed scenario. */
 struct ExperimentRunOptions
@@ -236,9 +260,9 @@ int runExperiment(const Experiment &experiment,
                   std::ostream &out);
 
 /**
- * Shared main() body of the bench_* wrappers and `gmlake_sim run`:
- * parses --iterations/--capacity/--seed/--csv/--json/--timeline/
- * --log-level and runs the named scenario.
+ * main() body of `gmlake_sim run <name>`: parses the scenario flags
+ * plus --threads/--csv/--json/--out/--timeline/--timeline-bin/
+ * --log-level/--no-banner and runs the named scenario.
  */
 int experimentMain(const std::string &name, int argc, char **argv);
 

@@ -7,11 +7,8 @@
 #include "obs/export_chrome.hh"
 #include "obs/ledger.hh"
 #include "obs/recorder.hh"
-#include "sim/session.hh"
-#include "sim/sweep.hh"
 #include "support/logging.hh"
 #include "support/strings.hh"
-#include "vmm/device.hh"
 
 namespace gmlake::sim
 {
@@ -61,25 +58,13 @@ runProbe(const ProbeOptions &options, std::ostream &out)
 {
     GMLAKE_ASSERT(!(options.tensor && options.atTick),
                   "probe accepts --tensor or --at, not both");
-    const SweepScenario scenario = buildSweepScenario(
-        options.scenario, options.seed, options.iterations);
+    RunSpec row = findRow(options.scenario, options.overrides);
+    row.engine.recordSeries = false;
 
     obs::Recorder recorder;
-    recorder.beginRun("probe:" + scenario.name);
+    recorder.beginRun("probe:" + options.scenario);
     recorder.activate();
-
-    vmm::Device device(scenario.device);
-    const auto allocator =
-        makeAllocator(options.kind, device, scenario.base);
-    EngineOptions engineOptions;
-    engineOptions.recordSeries = false;
-    SimEngine engine(*allocator, device, engineOptions);
-    for (std::size_t i = 0; i < scenario.traces.size(); ++i) {
-        engine.addSession(Session(scenario.sessionNames[i],
-                                  &scenario.traces[i],
-                                  scenario.startTimes[i]));
-    }
-    const MultiRunResult multi = engine.run();
+    const MultiRunResult multi = replay(row, options.allocator);
     recorder.deactivate();
 
     const obs::RecorderSnapshot snap = recorder.snapshot();
@@ -91,9 +76,8 @@ runProbe(const ProbeOptions &options, std::ostream &out)
             << "\n";
     }
 
-    out << "probe " << scenario.name << " ("
-        << allocatorKindName(options.kind) << ", seed "
-        << options.seed << ")\n";
+    out << "probe " << options.scenario << " ("
+        << options.allocator.name() << ", seed " << row.seed << ")\n";
     if (options.tensor)
         ledger.reportTensor(out, *options.tensor);
     else if (options.atTick)

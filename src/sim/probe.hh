@@ -2,10 +2,10 @@
  * @file
  * `gmlake_sim probe` — allocation provenance queries.
  *
- * A probe run replays a sweep scenario ("smoke", "train",
- * "colocate") with the observability recorder active, builds the
- * obs::Ledger from the recorded event stream, and answers one of
- * two questions against it:
+ * A probe run replays one registry row (`<scenario>` or
+ * `<scenario>/<row label>`) with the observability recorder active,
+ * builds the obs::Ledger from the recorded event stream, and answers
+ * one of two questions against it:
  *
  *   --tensor T   which allocations backed tensor T over the run,
  *                which pBlocks back each one, how they were
@@ -27,19 +27,18 @@
 #include <optional>
 #include <string>
 
-#include "sim/runner.hh"
+#include "sim/experiment.hh"
 
 namespace gmlake::sim
 {
 
 struct ProbeOptions
 {
-    /** Sweep scenario name ("smoke", "train", "colocate"). */
-    std::string scenario = "smoke";
-    AllocatorKind kind = AllocatorKind::gmlake;
-    std::uint64_t seed = 42;
-    /** Scenario scale override; <= 0 keeps the scenario default. */
-    int iterations = 0;
+    /** Row reference resolved through the registry (findRow). */
+    std::string scenario = "sweep-smoke";
+    AllocatorVariant allocator = AllocatorKind::gmlake;
+    /** Seed, iteration and capacity overrides for the row. */
+    ExperimentOptions overrides;
     /** Query selectors; at most one may be set. */
     std::optional<std::uint64_t> tensor;
     std::optional<std::uint64_t> atTick;

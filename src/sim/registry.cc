@@ -1,24 +1,24 @@
 /**
  * @file
  * The built-in experiment scenarios: every figure and table of the
- * paper plus the extension studies, ported out of the per-bench
- * main() functions into one registry. Each scenario describes its
- * workload sweep and prints its comparison table; run recording and
- * CSV/JSON emission are handled by the ExperimentContext driver.
+ * paper plus the extension studies. Each scenario lists its runs as
+ * RunSpec rows (the one definition of its workloads, which sweep,
+ * probe and chaos replay too) and prints its comparison table from
+ * replaying them; run recording and CSV/JSON emission are handled by
+ * the ExperimentContext driver.
  */
 
 #include "sim/experiment.hh"
 
 #include <algorithm>
 #include <array>
+#include <functional>
 #include <vector>
 
 #include "alloc/caching_allocator.hh"
 #include "alloc/compacting_allocator.hh"
 #include "core/gmlake_allocator.hh"
-#include "offload/offload_manager.hh"
 #include "sim/cluster.hh"
-#include "sim/session.hh"
 #include "sim/sweep.hh"
 #include "support/csv.hh"
 #include "support/logging.hh"
@@ -55,6 +55,55 @@ oomOr(const RunResult &r, const std::string &value)
     return r.oom ? "OOM" : value;
 }
 
+/**
+ * A comparison-table row: @p head, reserved memory and utilization
+ * without and with GMLake, then @p tail.
+ */
+std::vector<std::string>
+pairRow(std::string head, const BenchPair &pair,
+        std::vector<std::string> tail)
+{
+    std::vector<std::string> row = {
+        std::move(head),
+        oomOr(pair.caching, gb(pair.caching.peakReserved) + " GB"),
+        oomOr(pair.gmlake, gb(pair.gmlake.peakReserved) + " GB"),
+        oomOr(pair.caching, formatPercent(pair.caching.utilization)),
+        oomOr(pair.gmlake, formatPercent(pair.gmlake.utilization))};
+    row.insert(row.end(), tail.begin(), tail.end());
+    return row;
+}
+
+/** Host nanoseconds as "<x> ms" / "<x> us" (one decimal). */
+std::string
+ms(std::uint64_t ns)
+{
+    return formatDouble(static_cast<double>(ns) * 1e-6, 1) + " ms";
+}
+
+std::string
+us(std::uint64_t ns)
+{
+    return formatDouble(static_cast<double>(ns) * 1e-3, 1) + " us";
+}
+
+/** Record @p facts as metrics labelled @p label, in order. */
+void
+addMetrics(ExperimentContext &ctx, const std::string &label,
+           std::initializer_list<std::pair<const char *, double>> facts)
+{
+    for (const auto &[name, value] : facts)
+        ctx.metric(label, name, value);
+}
+
+/** Reserved memory GMLake saved over caching (0 when it did not). */
+std::string
+savedCell(const BenchPair &pair)
+{
+    const Bytes caching = pair.caching.peakReserved;
+    const Bytes lake = pair.gmlake.peakReserved;
+    return gb(caching > lake ? caching - lake : 0) + " GB";
+}
+
 workload::TrainConfig
 trainConfig(const char *model, const char *strategies, int gpus,
             int batch, int iterations)
@@ -68,10 +117,49 @@ trainConfig(const char *model, const char *strategies, int gpus,
     return cfg;
 }
 
+/**
+ * A row without sessions on the overridden device (@p capacity 0
+ * keeps the default).
+ */
+RunSpec
+newRow(const ExperimentOptions &o, std::string label,
+       std::uint64_t seed, Bytes capacity = 0)
+{
+    RunSpec row;
+    row.label = std::move(label);
+    if (capacity != 0)
+        row.device.capacity = capacity;
+    row.device = o.adjust(row.device);
+    row.seed = seed;
+    return row;
+}
+
+/** A training row on the default device, overrides folded in. */
+RunSpec
+trainRow(const ExperimentOptions &o, const workload::TrainConfig &cfg,
+         const std::string &label)
+{
+    RunSpec row = trainingRun(o.adjust(cfg), label);
+    row.device = o.adjust(vmm::DeviceConfig{});
+    return row;
+}
+
+/** A serving row: one "main" session generated from @p cfg. */
+RunSpec
+serveRow(const ExperimentOptions &o, const workload::ServeConfig &cfg,
+         const std::string &label)
+{
+    RunSpec row = newRow(o, label, cfg.seed);
+    row.addTrace("main", [cfg] {
+        return workload::generateServingTrace(cfg).trace;
+    });
+    return row;
+}
+
 // ------------------------------------------------------ Section 5
 
-void
-runHeadline(ExperimentContext &ctx)
+std::vector<RunSpec>
+headlineRows(const ExperimentOptions &o)
 {
     const struct
     {
@@ -82,40 +170,46 @@ runHeadline(ExperimentContext &ctx)
         {"GLM-10B", {24, 48}},        {"OPT-13B", {16, 32, 48}},
         {"Vicuna-13B", {16, 32, 48}}, {"GPT-NeoX-20B", {24, 48, 72, 84}},
     };
-    const char *strategies[] = {"R", "LR", "RO", "LRO"};
+    std::vector<RunSpec> rows;
+    for (const auto &m : models) {
+        for (const int batch : m.batches) {
+            for (const char *strat : {"R", "LR", "RO", "LRO"}) {
+                rows.push_back(trainRow(
+                    o, trainConfig(m.model, strat, 4, batch, 8),
+                    std::string(m.model) + "/" + strat + "/b" +
+                        std::to_string(batch)));
+            }
+        }
+    }
+    return rows;
+}
 
+void
+runHeadline(ExperimentContext &ctx)
+{
     double sumSavedGb = 0.0, maxSavedGb = 0.0;
     double sumFragDrop = 0.0, maxFragDrop = 0.0;
     int workloads = 0, oomAvoided = 0;
 
-    for (const auto &m : models) {
-        for (const int batch : m.batches) {
-            for (const char *strat : strategies) {
-                const auto cfg =
-                    trainConfig(m.model, strat, 4, batch, 8);
-                const std::string label = std::string(m.model) + "/" +
-                                          strat + "/b" +
-                                          std::to_string(batch);
-                const auto pair = ctx.runPair(cfg, {}, label);
-                if (pair.gmlake.oom)
-                    continue; // out of scope for both
-                if (pair.caching.oom) {
-                    ++oomAvoided;
-                    continue;
-                }
-                ++workloads;
-                const double saved =
-                    (static_cast<double>(pair.caching.peakReserved) -
-                     static_cast<double>(pair.gmlake.peakReserved)) /
-                    (1024.0 * 1024.0 * 1024.0);
-                const double fragDrop = pair.caching.fragmentation -
-                                        pair.gmlake.fragmentation;
-                sumSavedGb += saved;
-                maxSavedGb = std::max(maxSavedGb, saved);
-                sumFragDrop += fragDrop;
-                maxFragDrop = std::max(maxFragDrop, fragDrop);
-            }
+    for (const RunSpec &row : headlineRows(ctx.options())) {
+        const auto pair = ctx.replayPair(row);
+        if (pair.gmlake.oom)
+            continue; // out of scope for both
+        if (pair.caching.oom) {
+            ++oomAvoided;
+            continue;
         }
+        ++workloads;
+        const double saved =
+            (static_cast<double>(pair.caching.peakReserved) -
+             static_cast<double>(pair.gmlake.peakReserved)) /
+            (1024.0 * 1024.0 * 1024.0);
+        const double fragDrop =
+            pair.caching.fragmentation - pair.gmlake.fragmentation;
+        sumSavedGb += saved;
+        maxSavedGb = std::max(maxSavedGb, saved);
+        sumFragDrop += fragDrop;
+        maxFragDrop = std::max(maxFragDrop, fragDrop);
     }
 
     const int n = std::max(1, workloads);
@@ -145,43 +239,57 @@ runHeadline(ExperimentContext &ctx)
 
 // ------------------------------------------------------- Figure 3
 
+const struct
+{
+    const char *paperLabel;
+    const char *strategies;
+    double paperUtil;
+} kFig3Rows[] = {
+    {"P", "N", 0.97},    {"PR", "R", 0.80},
+    {"PLR", "LR", 0.76}, {"PRO", "RO", 0.73},
+    {"PLRO", "LRO", 0.65},
+};
+
+// Averaged over several seeds: single-run utilization varies by a
+// few points with the random workload details.
+constexpr int kFig3Seeds = 5;
+
+std::vector<RunSpec>
+fig3Rows(const ExperimentOptions &o)
+{
+    std::vector<RunSpec> rows;
+    for (const auto &r : kFig3Rows) {
+        auto cfg =
+            o.adjust(trainConfig("OPT-1.3B", r.strategies, 4, 64, 15));
+        const std::uint64_t seedBase = cfg.seed;
+        for (int s = 0; s < kFig3Seeds; ++s) {
+            cfg.seed = seedBase + static_cast<std::uint64_t>(s);
+            rows.push_back(trainRow(o, cfg,
+                                    std::string(r.paperLabel) +
+                                        "/seed" +
+                                        std::to_string(cfg.seed)));
+        }
+    }
+    return rows;
+}
+
 void
 runFig3(ExperimentContext &ctx)
 {
-    const struct
-    {
-        const char *paperLabel;
-        const char *strategies;
-        double paperUtil;
-    } rows[] = {
-        {"P", "N", 0.97},    {"PR", "R", 0.80},
-        {"PLR", "LR", 0.76}, {"PRO", "RO", 0.73},
-        {"PLRO", "LRO", 0.65},
-    };
-
     Table table({"Combination", "Utilization (measured)",
                  "Utilization (paper)", "Peak reserved",
                  "Peak active"});
-    for (const auto &r : rows) {
-        auto cfg = ctx.adjust(
-            trainConfig("OPT-1.3B", r.strategies, 4, 64, 15));
-        // Average over several seeds: single-run utilization varies
-        // by a few points with the random workload details.
-        const std::uint64_t seedBase = cfg.seed;
+    const std::vector<RunSpec> rows = fig3Rows(ctx.options());
+    auto row = rows.begin();
+    for (const auto &r : kFig3Rows) {
         double util = 0.0;
         Bytes reserved = 0, active = 0;
-        constexpr int kSeeds = 5;
-        for (int s = 0; s < kSeeds; ++s) {
-            cfg.seed = seedBase + static_cast<std::uint64_t>(s);
-            const auto run = runScenario(
-                cfg, AllocatorKind::caching,
-                ctx.adjust(ScenarioOptions{}));
-            ctx.record(std::string(r.paperLabel) + "/seed" +
-                           std::to_string(cfg.seed),
-                       run.allocator, run);
-            util += run.utilization / kSeeds;
-            reserved += run.peakReserved / kSeeds;
-            active += run.peakActive / kSeeds;
+        for (int s = 0; s < kFig3Seeds; ++s) {
+            const auto run =
+                ctx.replay(*row++, AllocatorKind::caching).combined;
+            util += run.utilization / kFig3Seeds;
+            reserved += run.peakReserved / kFig3Seeds;
+            active += run.peakActive / kFig3Seeds;
         }
         table.addRow({r.paperLabel, formatPercent(util),
                       formatPercent(r.paperUtil),
@@ -194,20 +302,29 @@ runFig3(ExperimentContext &ctx)
 
 // ------------------------------------------------------- Figure 4
 
+std::vector<RunSpec>
+fig4Rows(const ExperimentOptions &o)
+{
+    std::vector<RunSpec> rows;
+    for (const int gpus : {1, 2, 4, 8, 16}) {
+        rows.push_back(trainRow(o, trainConfig("OPT-13B", "LR", gpus, 16, 12),
+                                std::to_string(gpus) + " GPUs"));
+    }
+    return rows;
+}
+
 void
 runFig4(ExperimentContext &ctx)
 {
-    const int gpuCounts[] = {1, 2, 4, 8, 16};
     const double paper[] = {0.91, 0.84, 0.78, 0.80, 0.76};
 
     Table table({"GPUs", "Utilization (measured)",
                  "Utilization (paper)", "Peak reserved"});
-    for (std::size_t i = 0; i < 5; ++i) {
-        auto cfg = trainConfig("OPT-13B", "LR", gpuCounts[i], 16, 12);
+    const std::vector<RunSpec> rows = fig4Rows(ctx.options());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
         const auto run =
-            ctx.run(cfg, AllocatorKind::caching, {},
-                    std::to_string(cfg.gpus) + " GPUs");
-        table.addRow({std::to_string(cfg.gpus),
+            ctx.replay(rows[i], AllocatorKind::caching).combined;
+        table.addRow({std::to_string(rows[i].train->gpus),
                       formatPercent(run.utilization),
                       formatPercent(paper[i]),
                       gb(run.peakReserved) + " GB"});
@@ -227,7 +344,7 @@ runFig5(ExperimentContext &ctx)
     Table table({"Configuration", "Allocations", "Avg size",
                  "Max size", "Allocs/iteration"});
     for (const char *strat : {"N", "LR"}) {
-        auto cfg = ctx.adjust(base);
+        auto cfg = ctx.options().adjust(base);
         cfg.strategies = workload::Strategies::parse(strat);
         const auto trace = workload::generateTrainingTrace(cfg);
         const auto &s = trace.stats();
@@ -250,7 +367,7 @@ runFig5(ExperimentContext &ctx)
     table.print(ctx.out());
 
     ctx.out() << "\nSize histogram (+LR):\n";
-    auto cfg = ctx.adjust(base);
+    auto cfg = ctx.options().adjust(base);
     cfg.strategies = workload::Strategies::parse("LR");
     const auto trace = workload::generateTrainingTrace(cfg);
     ctx.out() << trace.sizeHistogram().render();
@@ -262,7 +379,7 @@ runFig5(ExperimentContext &ctx)
 Tick
 vmAllocLatency(ExperimentContext &ctx, Bytes block, Bytes chunk)
 {
-    vmm::Device dev(ctx.adjust(vmm::DeviceConfig{}));
+    vmm::Device dev(ctx.options().adjust(vmm::DeviceConfig{}));
     const Tick t0 = dev.now();
     const auto va = dev.memAddressReserve(block);
     if (!va.ok())
@@ -284,7 +401,7 @@ vmAllocLatency(ExperimentContext &ctx, Bytes block, Bytes chunk)
 Tick
 nativeLatency(ExperimentContext &ctx, Bytes block)
 {
-    vmm::Device dev(ctx.adjust(vmm::DeviceConfig{}));
+    vmm::Device dev(ctx.options().adjust(vmm::DeviceConfig{}));
     const Tick t0 = dev.now();
     const auto p = dev.mallocNative(block);
     if (!p.ok())
@@ -341,99 +458,148 @@ runFig6(ExperimentContext &ctx)
     table.print(ctx.out());
 }
 
+// --------------------------------------------- sectioned tables
+
+/** A titled table of rows, each with its first cell. */
+struct Section
+{
+    std::string title;
+    std::string column; //!< header of the first cell
+    std::vector<std::pair<std::string, RunSpec>> rows;
+};
+
+/** The rows() of a scenario made of @p sections. */
+template <std::vector<Section> (*sections)(const ExperimentOptions &)>
+std::vector<RunSpec>
+sectionRows(const ExperimentOptions &o)
+{
+    std::vector<RunSpec> rows;
+    for (const Section &section : sections(o)) {
+        for (const auto &[cell, row] : section.rows)
+            rows.push_back(row);
+    }
+    return rows;
+}
+
+/**
+ * Print one table per section: its column, then @p columns; each
+ * line is @p cells(first cell, row), which replays the row.
+ */
+void
+printSections(
+    ExperimentContext &ctx, const std::vector<Section> &sections,
+    const std::vector<std::string> &columns,
+    const std::function<std::vector<std::string>(const std::string &,
+                                                 const RunSpec &)> &cells)
+{
+    for (const Section &section : sections) {
+        ctx.out() << section.title;
+        std::vector<std::string> header = {section.column};
+        header.insert(header.end(), columns.begin(), columns.end());
+        Table table(header);
+        for (const auto &[cell, row] : section.rows)
+            table.addRow(cells(cell, row));
+        table.print(ctx.out());
+    }
+}
+
+/** Reserved memory and utilization without and with GMLake. */
+const std::vector<std::string> kPairColumns = {
+    "RM w/o GML", "RM w/ GML", "UR w/o GML", "UR w/ GML"};
+
+std::vector<std::string>
+withPairColumns(std::vector<std::string> tail)
+{
+    tail.insert(tail.begin(), kPairColumns.begin(), kPairColumns.end());
+    return tail;
+}
+
 // ------------------------------------------------------ Figure 10
 
-void
-runFig10(ExperimentContext &ctx)
+/** Models of Figures 10 and 11, with their per-GPU batch. */
+const struct
 {
-    const struct
-    {
-        const char *model;
-        int batch;
-    } models[] = {
-        {"OPT-13B", 16}, {"Vicuna-13B", 16}, {"GPT-NeoX-20B", 12},
-    };
+    const char *model;
+    int batch;
+} kScalingModels[] = {
+    {"OPT-13B", 16}, {"Vicuna-13B", 16}, {"GPT-NeoX-20B", 12},
+};
 
-    for (const auto &m : models) {
-        ctx.out() << "\n--- " << m.model << " (4 GPUs, batch "
-                  << m.batch << ") ---\n";
-        Table table({"Strategy", "RM w/o GML", "RM w/ GML",
-                     "UR w/o GML", "UR w/ GML", "Saved"});
+std::vector<Section>
+fig10Sections(const ExperimentOptions &o)
+{
+    std::vector<Section> sections;
+    for (const auto &m : kScalingModels) {
+        Section &section = sections.emplace_back();
+        section.title = detail::concat("\n--- ", m.model,
+                                       " (4 GPUs, batch ", m.batch,
+                                       ") ---\n");
+        section.column = "Strategy";
         for (const char *strat : {"N", "R", "LR", "RO", "LRO"}) {
             // N keeps full optimizer state resident; use a batch the
             // device can hold, like the paper's common batch size.
             const int batch = std::string(strat) == "N" ? m.batch / 2
                                                         : m.batch;
-            const auto cfg =
-                trainConfig(m.model, strat, 4, batch, 12);
-            const auto pair = ctx.runPair(
-                cfg, {}, std::string(m.model) + "/" + strat);
-            const Bytes saved =
-                pair.caching.peakReserved > pair.gmlake.peakReserved
-                    ? pair.caching.peakReserved -
-                          pair.gmlake.peakReserved
-                    : 0;
-            table.addRow(
-                {strat,
-                 oomOr(pair.caching,
-                       gb(pair.caching.peakReserved) + " GB"),
-                 oomOr(pair.gmlake,
-                       gb(pair.gmlake.peakReserved) + " GB"),
-                 oomOr(pair.caching,
-                       formatPercent(pair.caching.utilization)),
-                 oomOr(pair.gmlake,
-                       formatPercent(pair.gmlake.utilization)),
-                 gb(saved) + " GB"});
+            section.rows.emplace_back(
+                strat,
+                trainRow(o, trainConfig(m.model, strat, 4, batch, 12),
+                         std::string(m.model) + "/" + strat));
         }
-        table.print(ctx.out());
     }
+    return sections;
+}
+
+void
+runFig10(ExperimentContext &ctx)
+{
+    printSections(ctx, fig10Sections(ctx.options()),
+                  withPairColumns({"Saved"}),
+                  [&](const std::string &strat, const RunSpec &row) {
+                      const auto pair = ctx.replayPair(row);
+                      return pairRow(strat, pair, {savedCell(pair)});
+                  });
 }
 
 // ------------------------------------------------------ Figure 11
 
+std::vector<Section>
+fig11Sections(const ExperimentOptions &o)
+{
+    std::vector<Section> sections;
+    for (const auto &m : kScalingModels) {
+        Section &section = sections.emplace_back();
+        section.title = detail::concat("\n--- ", m.model, " (LR, batch ",
+                                       m.batch, " per GPU) ---\n");
+        section.column = "GPUs";
+        for (const int gpus : {1, 2, 4, 8, 16}) {
+            section.rows.emplace_back(
+                std::to_string(gpus),
+                trainRow(o, trainConfig(m.model, "LR", gpus, m.batch, 10),
+                         std::string(m.model) + "/g" +
+                             std::to_string(gpus)));
+        }
+    }
+    return sections;
+}
+
 void
 runFig11(ExperimentContext &ctx)
 {
-    const struct
-    {
-        const char *model;
-        int batch;
-    } models[] = {
-        {"OPT-13B", 16}, {"Vicuna-13B", 16}, {"GPT-NeoX-20B", 12},
-    };
-
-    for (const auto &m : models) {
-        ctx.out() << "\n--- " << m.model << " (LR, batch " << m.batch
-                  << " per GPU) ---\n";
-        Table table({"GPUs", "RM w/o GML", "RM w/ GML", "UR w/o GML",
-                     "UR w/ GML", "Thr w/o (s/s)", "Thr w/ (s/s)"});
-        for (const int gpus : {1, 2, 4, 8, 16}) {
-            const auto cfg =
-                trainConfig(m.model, "LR", gpus, m.batch, 10);
-            const auto pair = ctx.runPair(
-                cfg, {},
-                std::string(m.model) + "/g" + std::to_string(gpus));
-            table.addRow(
-                {std::to_string(gpus),
-                 oomOr(pair.caching,
-                       gb(pair.caching.peakReserved) + " GB"),
-                 oomOr(pair.gmlake,
-                       gb(pair.gmlake.peakReserved) + " GB"),
-                 oomOr(pair.caching,
-                       formatPercent(pair.caching.utilization)),
-                 oomOr(pair.gmlake,
-                       formatPercent(pair.gmlake.utilization)),
-                 formatDouble(pair.caching.samplesPerSec, 1),
-                 formatDouble(pair.gmlake.samplesPerSec, 1)});
-        }
-        table.print(ctx.out());
-    }
+    printSections(
+        ctx, fig11Sections(ctx.options()),
+        withPairColumns({"Thr w/o (s/s)", "Thr w/ (s/s)"}),
+        [&](const std::string &gpus, const RunSpec &row) {
+            const auto pair = ctx.replayPair(row);
+            return pairRow(gpus, pair,
+                           {formatDouble(pair.caching.samplesPerSec, 1),
+                            formatDouble(pair.gmlake.samplesPerSec, 1)});
+        });
 }
 
 // ------------------------------------------------------ Figure 12
 
-void
-runFig12(ExperimentContext &ctx)
+std::vector<RunSpec>
+fig12Rows(const ExperimentOptions &o)
 {
     const struct
     {
@@ -441,42 +607,37 @@ runFig12(ExperimentContext &ctx)
         const char *model;
         workload::Platform platform;
         int batch;
-    } rows[] = {
+    } platforms[] = {
         {"FSDP-GLM-10B", "GLM-10B", workload::Platform::fsdp, 24},
         {"DS-OPT-13B", "OPT-13B",
          workload::Platform::deepspeedZero3, 16},
         {"CAI-GPT-2", "GPT-2", workload::Platform::colossalAi, 48},
     };
+    std::vector<RunSpec> rows;
+    for (const auto &p : platforms) {
+        auto cfg = trainConfig(p.model, "LR", 4, p.batch, 12);
+        cfg.platform = p.platform;
+        rows.push_back(trainRow(o, cfg, p.label));
+    }
+    return rows;
+}
 
+void
+runFig12(ExperimentContext &ctx)
+{
     Table table({"Platform-Model", "RM w/o GML", "RM w/ GML",
                  "UR w/o GML", "UR w/ GML", "Saved"});
-    for (const auto &r : rows) {
-        auto cfg = trainConfig(r.model, "LR", 4, r.batch, 12);
-        cfg.platform = r.platform;
-        const auto pair = ctx.runPair(cfg, {}, r.label);
-        const Bytes saved =
-            pair.caching.peakReserved > pair.gmlake.peakReserved
-                ? pair.caching.peakReserved - pair.gmlake.peakReserved
-                : 0;
-        table.addRow(
-            {r.label,
-             oomOr(pair.caching,
-                   gb(pair.caching.peakReserved) + " GB"),
-             oomOr(pair.gmlake,
-                   gb(pair.gmlake.peakReserved) + " GB"),
-             oomOr(pair.caching,
-                   formatPercent(pair.caching.utilization)),
-             oomOr(pair.gmlake,
-                   formatPercent(pair.gmlake.utilization)),
-             gb(saved) + " GB"});
+    for (const RunSpec &row : fig12Rows(ctx.options())) {
+        const auto pair = ctx.replayPair(row);
+        table.addRow(pairRow(row.label, pair, {savedCell(pair)}));
     }
     table.print(ctx.out());
 }
 
 // ------------------------------------------------------ Figure 13
 
-void
-runFig13(ExperimentContext &ctx)
+std::vector<Section>
+fig13Sections(const ExperimentOptions &o)
 {
     const struct
     {
@@ -487,36 +648,37 @@ runFig13(ExperimentContext &ctx)
         {"OPT-13B", {1, 20, 40, 60, 80, 100, 120}},
         {"GPT-NeoX-20B", {1, 12, 24, 36, 48, 60, 72, 84, 96, 108}},
     };
-
+    std::vector<Section> sections;
     for (const auto &sweep : sweeps) {
-        ctx.out() << "\n--- " << sweep.model << " ---\n";
-        Table table({"Batch", "RM w/o GML", "RM w/ GML",
-                     "UR w/o GML", "UR w/ GML", "Thr w/o (s/s)",
-                     "Thr w/ (s/s)"});
+        Section &section = sections.emplace_back();
+        section.title = detail::concat("\n--- ", sweep.model, " ---\n");
+        section.column = "Batch";
         for (const int batch : sweep.batches) {
-            const auto cfg =
-                trainConfig(sweep.model, "LR", 4, batch, 8);
-            const auto pair = ctx.runPair(
-                cfg, {},
-                std::string(sweep.model) + "/b" +
-                    std::to_string(batch));
-            table.addRow(
-                {std::to_string(batch),
-                 oomOr(pair.caching,
-                       gb(pair.caching.peakReserved) + " GB"),
-                 oomOr(pair.gmlake,
-                       gb(pair.gmlake.peakReserved) + " GB"),
-                 oomOr(pair.caching,
-                       formatPercent(pair.caching.utilization)),
-                 oomOr(pair.gmlake,
-                       formatPercent(pair.gmlake.utilization)),
-                 oomOr(pair.caching,
+            section.rows.emplace_back(
+                std::to_string(batch),
+                trainRow(o, trainConfig(sweep.model, "LR", 4, batch, 8),
+                         std::string(sweep.model) + "/b" +
+                             std::to_string(batch)));
+        }
+    }
+    return sections;
+}
+
+void
+runFig13(ExperimentContext &ctx)
+{
+    printSections(
+        ctx, fig13Sections(ctx.options()),
+        withPairColumns({"Thr w/o (s/s)", "Thr w/ (s/s)"}),
+        [&](const std::string &batch, const RunSpec &row) {
+            const auto pair = ctx.replayPair(row);
+            return pairRow(
+                batch, pair,
+                {oomOr(pair.caching,
                        formatDouble(pair.caching.samplesPerSec, 1)),
                  oomOr(pair.gmlake,
                        formatDouble(pair.gmlake.samplesPerSec, 1))});
-        }
-        table.print(ctx.out());
-    }
+        });
 }
 
 // ------------------------------------------------------ Figure 14
@@ -539,16 +701,22 @@ printSeries(ExperimentContext &ctx, const RunResult &r, int columns)
     table.print(ctx.out());
 }
 
-void
-runFig14(ExperimentContext &ctx)
+std::vector<RunSpec>
+fig14Rows(const ExperimentOptions &o)
 {
     // The paper runs batch 72; our synthetic activations are a bit
     // leaner, so the baseline's OOM boundary sits at batch ~96
     // (see EXPERIMENTS.md). Use the boundary batch so the figure
     // shows the same phenomenon: the baseline dies mid-run, GMLake
     // completes the job with reserved ~= active.
-    const auto cfg = trainConfig("GPT-NeoX-20B", "LR", 4, 96, 10);
-    const auto pair = ctx.runPair(cfg, {}, "GPT-NeoX-20B/b96");
+    return {trainRow(o, trainConfig("GPT-NeoX-20B", "LR", 4, 96, 10),
+                     "GPT-NeoX-20B/b96")};
+}
+
+void
+runFig14(ExperimentContext &ctx)
+{
+    const auto pair = ctx.replayPair(fig14Rows(ctx.options()).front());
 
     ctx.out() << "\nPyTorch caching allocator:"
               << (pair.caching.oom ? "  (run ends in OOM)" : "")
@@ -610,93 +778,85 @@ runTable1(ExperimentContext &ctx)
 
 // ------------------------------------------------------- ablation
 
+std::vector<Section>
+ablationSections(const ExperimentOptions &o)
+{
+    std::vector<Section> sections = {
+        {"\nFragmentation limit sweep:\n", "fragLimit", {}},
+        {"\nStitching mechanism:\n", "Configuration", {}},
+        {"\nNear-match tolerance sweep:\n", "Tolerance", {}},
+        {"\nStitchFree cache-limit sweep:\n", "maxCachedSBlocks", {}},
+    };
+    const auto add = [&](Section &section, const std::string &label,
+                         const core::GMLakeConfig &gc) {
+        section.rows.emplace_back(
+            label, trainRow(o, trainConfig("OPT-13B", "LR", 4, 16, 12),
+                            label));
+        section.rows.back().second.gmlake = gc;
+    };
+    for (const Bytes limit :
+         {2_MiB, 8_MiB, 16_MiB, 32_MiB, 64_MiB, 128_MiB}) {
+        core::GMLakeConfig gc;
+        gc.fragLimit = limit;
+        add(sections[0], "fragLimit=" + formatBytes(limit), gc);
+    }
+    core::GMLakeConfig off;
+    off.enableStitching = false;
+    core::GMLakeConfig noRestitch;
+    noRestitch.restitchOnSplit = false;
+    add(sections[1], "stitching on (default)", {});
+    add(sections[1], "stitching off", off);
+    add(sections[1], "no re-stitch after split", noRestitch);
+    for (const double tol : {0.0, 0.05, 0.125, 0.25}) {
+        core::GMLakeConfig gc;
+        gc.nearMatchTolerance = tol;
+        add(sections[2], "tolerance=" + formatPercent(tol, 1), gc);
+    }
+    for (const std::size_t cap : {8UL, 64UL, 512UL, 8192UL}) {
+        core::GMLakeConfig gc;
+        gc.maxCachedSBlocks = cap;
+        add(sections[3], "maxCachedSBlocks=" + std::to_string(cap), gc);
+    }
+    return sections;
+}
+
 void
 runAblation(ExperimentContext &ctx)
 {
-    const auto base = trainConfig("OPT-13B", "LR", 4, 16, 12);
-
-    auto runRow = [&](Table &table, const std::string &label,
-                      const core::GMLakeConfig &gc) {
-        ScenarioOptions opts;
-        opts.gmlake = gc;
-        const auto r =
-            ctx.run(base, AllocatorKind::gmlake, opts, label);
-        table.addRow({label, formatPercent(r.utilization),
-                      gb(r.peakReserved) + " GB",
-                      formatDouble(r.samplesPerSec, 2),
-                      formatTime(r.deviceApiTime)});
-    };
-
-    {
-        ctx.out() << "\nFragmentation limit sweep:\n";
-        Table table({"fragLimit", "Utilization", "Peak reserved",
-                     "Thr (s/s)", "Device API time"});
-        for (const Bytes limit :
-             {2_MiB, 8_MiB, 16_MiB, 32_MiB, 64_MiB, 128_MiB}) {
-            core::GMLakeConfig gc;
-            gc.fragLimit = limit;
-            runRow(table, "fragLimit=" + formatBytes(limit), gc);
-        }
-        table.print(ctx.out());
-    }
-
-    {
-        ctx.out() << "\nStitching mechanism:\n";
-        Table table({"Configuration", "Utilization", "Peak reserved",
-                     "Thr (s/s)", "Device API time"});
-        core::GMLakeConfig on;
-        runRow(table, "stitching on (default)", on);
-        core::GMLakeConfig off;
-        off.enableStitching = false;
-        runRow(table, "stitching off", off);
-        core::GMLakeConfig noRestitch;
-        noRestitch.restitchOnSplit = false;
-        runRow(table, "no re-stitch after split", noRestitch);
-        table.print(ctx.out());
-    }
-
-    {
-        ctx.out() << "\nNear-match tolerance sweep:\n";
-        Table table({"Tolerance", "Utilization", "Peak reserved",
-                     "Thr (s/s)", "Device API time"});
-        for (const double tol : {0.0, 0.05, 0.125, 0.25}) {
-            core::GMLakeConfig gc;
-            gc.nearMatchTolerance = tol;
-            runRow(table, "tolerance=" + formatPercent(tol, 1), gc);
-        }
-        table.print(ctx.out());
-    }
-
-    {
-        ctx.out() << "\nStitchFree cache-limit sweep:\n";
-        Table table({"maxCachedSBlocks", "Utilization",
-                     "Peak reserved", "Thr (s/s)",
-                     "Device API time"});
-        for (const std::size_t cap : {8UL, 64UL, 512UL, 8192UL}) {
-            core::GMLakeConfig gc;
-            gc.maxCachedSBlocks = cap;
-            runRow(table, "maxCachedSBlocks=" + std::to_string(cap),
-                   gc);
-        }
-        table.print(ctx.out());
-    }
+    printSections(
+        ctx, ablationSections(ctx.options()),
+        {"Utilization", "Peak reserved", "Thr (s/s)", "Device API time"},
+        [&](const std::string &label, const RunSpec &row) {
+            const auto r = ctx.replay(row, AllocatorKind::gmlake).combined;
+            return std::vector<std::string>{
+                label, formatPercent(r.utilization),
+                gb(r.peakReserved) + " GB",
+                formatDouble(r.samplesPerSec, 2),
+                formatTime(r.deviceApiTime)};
+        });
 }
 
 // ------------------------------------------- native vs caching
 
+std::vector<RunSpec>
+nativeVsCachingRows(const ExperimentOptions &o)
+{
+    return {trainRow(o, trainConfig("OPT-1.3B", "R", 4, 8, 6),
+                     "OPT-1.3B/R")};
+}
+
 void
 runNativeVsCaching(ExperimentContext &ctx)
 {
-    const auto cfg = trainConfig("OPT-1.3B", "R", 4, 8, 6);
-
+    const RunSpec row =
+        materialize(nativeVsCachingRows(ctx.options()).front());
     const auto caching =
-        ctx.run(cfg, AllocatorKind::caching, {}, "OPT-1.3B/R");
-    const auto native =
-        ctx.run(cfg, AllocatorKind::native, {}, "OPT-1.3B/R");
+        ctx.replay(row, AllocatorKind::caching).combined;
+    const auto native = ctx.replay(row, AllocatorKind::native).combined;
 
     Table table({"Allocator", "Iteration time", "Device API time",
                  "Throughput (samples/s)", "Slowdown"});
-    auto row = [&](const RunResult &r) {
+    auto addRow = [&](const RunResult &r) {
         table.addRow(
             {r.allocator,
              formatTime(r.simTime / std::max(1, r.iterationsDone)),
@@ -707,8 +867,8 @@ runNativeVsCaching(ExperimentContext &ctx)
                           1) +
                  "x"});
     };
-    row(caching);
-    row(native);
+    addRow(caching);
+    addRow(native);
     table.print(ctx.out());
     const double allocatorSlowdown =
         static_cast<double>(native.deviceApiTime) /
@@ -723,67 +883,89 @@ runNativeVsCaching(ExperimentContext &ctx)
 
 // ------------------------------------------------ pytorch knobs
 
+/** The caching-allocator knob sets compared against GMLake. */
+std::vector<std::pair<std::string, alloc::CachingConfig>>
+pytorchKnobSets()
+{
+    alloc::CachingConfig split;
+    split.maxSplitSize = 256_MiB;
+    alloc::CachingConfig roundup;
+    roundup.roundupPower2Divisions = 8;
+    alloc::CachingConfig gc;
+    gc.gcThreshold = 0.7;
+    alloc::CachingConfig all;
+    all.maxSplitSize = 256_MiB;
+    all.roundupPower2Divisions = 8;
+    all.gcThreshold = 0.7;
+    return {{"caching, defaults", {}},
+            {"caching, max_split_size=256MB", split},
+            {"caching, roundup_power2_divisions=8", roundup},
+            {"caching, gc_threshold=0.7", gc},
+            {"caching, all three knobs", all}};
+}
+
+/** Knob rows (replayed under caching), then "gmlake defaults". */
+std::vector<RunSpec>
+pytorchKnobsRows(const ExperimentOptions &o)
+{
+    const auto base = trainConfig("GPT-NeoX-20B", "LR", 4, 48, 10);
+    std::vector<RunSpec> rows;
+    for (const auto &[label, knobs] : pytorchKnobSets()) {
+        rows.push_back(trainRow(o, base, label));
+        rows.back().caching = knobs;
+    }
+    rows.push_back(trainRow(o, base, "gmlake defaults"));
+    return rows;
+}
+
 void
 runPytorchKnobs(ExperimentContext &ctx)
 {
-    const auto base = trainConfig("GPT-NeoX-20B", "LR", 4, 48, 10);
-
     Table table({"Configuration", "Utilization", "Peak reserved",
                  "Thr (s/s)"});
-    auto row = [&](const std::string &label, const RunResult &r) {
-        table.addRow({label,
+    const std::vector<RunSpec> rows = pytorchKnobsRows(ctx.options());
+    for (const RunSpec &row : rows) {
+        const bool lake = &row == &rows.back();
+        const auto r = ctx.replay(row, lake ? AllocatorKind::gmlake
+                                            : AllocatorKind::caching)
+                           .combined;
+        table.addRow({lake ? "gmlake, defaults" : row.label,
                       r.oom ? "OOM" : formatPercent(r.utilization),
                       r.oom ? "OOM" : gb(r.peakReserved) + " GB",
                       formatDouble(r.samplesPerSec, 2)});
-    };
-    auto runCaching = [&](const std::string &label,
-                          const alloc::CachingConfig &knobs) {
-        const auto cfg = ctx.adjust(base);
-        vmm::Device device(ctx.adjust(vmm::DeviceConfig{}));
-        alloc::CachingAllocator allocator(device, knobs);
-        const auto trace = workload::generateTrainingTrace(cfg);
-        const auto r = runTrace(allocator, device, trace, &cfg);
-        ctx.record(label, r.allocator, r);
-        row(label, r);
-    };
-
-    runCaching("caching, defaults", {});
-    {
-        alloc::CachingConfig knobs;
-        knobs.maxSplitSize = 256_MiB;
-        runCaching("caching, max_split_size=256MB", knobs);
     }
-    {
-        alloc::CachingConfig knobs;
-        knobs.roundupPower2Divisions = 8;
-        runCaching("caching, roundup_power2_divisions=8", knobs);
-    }
-    {
-        alloc::CachingConfig knobs;
-        knobs.gcThreshold = 0.7;
-        runCaching("caching, gc_threshold=0.7", knobs);
-    }
-    {
-        alloc::CachingConfig knobs;
-        knobs.maxSplitSize = 256_MiB;
-        knobs.roundupPower2Divisions = 8;
-        knobs.gcThreshold = 0.7;
-        runCaching("caching, all three knobs", knobs);
-    }
-    row("gmlake, defaults",
-        ctx.run(base, AllocatorKind::gmlake, {}, "gmlake defaults"));
     table.print(ctx.out());
 }
 
 // ------------------------------------------------------- serving
 
+workload::ServeConfig
+servingConfig(const ExperimentOptions &o, int maxBatch)
+{
+    workload::ServeConfig cfg;
+    cfg.model = workload::findModel("OPT-13B");
+    cfg.requests = 192;
+    cfg.maxBatch = maxBatch;
+    return o.adjust(cfg);
+}
+
+const int kServingBatches[] = {8, 16, 32, 64};
+
+std::vector<RunSpec>
+servingRows(const ExperimentOptions &o)
+{
+    std::vector<RunSpec> rows;
+    for (const int batch : kServingBatches) {
+        rows.push_back(serveRow(o, servingConfig(o, batch),
+                                "batch " + std::to_string(batch)));
+    }
+    return rows;
+}
+
 void
 runServing(ExperimentContext &ctx)
 {
-    workload::ServeConfig base;
-    base.model = workload::findModel("OPT-13B");
-    base.requests = 192;
-
+    const workload::ServeConfig base = servingConfig(ctx.options(), 0);
     ctx.out() << "KV cache: "
               << formatBytes(workload::kvBytesPerToken(base.model))
               << " per token, quantum " << base.kvQuantumTokens
@@ -791,16 +973,17 @@ runServing(ExperimentContext &ctx)
 
     Table table({"Batch", "Allocator", "Utilization", "Peak reserved",
                  "Tokens/s", "KV reallocs"});
-    for (const int batch : {8, 16, 32, 64}) {
-        auto cfg = ctx.adjust(base);
-        cfg.maxBatch = batch;
-        const auto gen = workload::generateServingTrace(cfg);
-
+    const std::vector<RunSpec> rows = servingRows(ctx.options());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const int batch = kServingBatches[i];
+        // Token and realloc counts are generator facts the trace
+        // does not carry: regenerate for them.
+        const auto gen = workload::generateServingTrace(
+            servingConfig(ctx.options(), batch));
+        const RunSpec row = materialize(rows[i]);
         for (const auto kind : {AllocatorKind::caching,
                                 AllocatorKind::gmlake}) {
-            const std::string label = "batch " +
-                                      std::to_string(batch);
-            const auto r = ctx.runTrace(kind, gen.trace, label);
+            const auto r = ctx.replay(row, kind).combined;
             const double tokensPerSec =
                 static_cast<double>(gen.generatedTokens) /
                 (static_cast<double>(r.simTime) * 1e-9);
@@ -810,7 +993,7 @@ runServing(ExperimentContext &ctx)
                           oomOr(r, gb(r.peakReserved) + " GB"),
                           oomOr(r, formatDouble(tokensPerSec, 0)),
                           std::to_string(gen.kvReallocs)});
-            ctx.metric(label + " " + allocatorKindName(kind),
+            ctx.metric(row.label + " " + allocatorKindName(kind),
                        "tokens_per_sec", tokensPerSec);
         }
     }
@@ -819,56 +1002,57 @@ runServing(ExperimentContext &ctx)
 
 // ----------------------------------------------- stitch vs move
 
+std::vector<RunSpec>
+stitchVsMoveRows(const ExperimentOptions &o)
+{
+    return {trainRow(o, trainConfig("OPT-13B", "LR", 4, 16, 12),
+                     "OPT-13B/LR")};
+}
+
 void
 runStitchVsMove(ExperimentContext &ctx)
 {
-    const auto base = trainConfig("OPT-13B", "LR", 4, 16, 12);
+    const RunSpec row =
+        materialize(stitchVsMoveRows(ctx.options()).front());
 
     Table table({"Allocator", "Utilization", "Peak reserved",
                  "Thr (s/s)", "Defrag work"});
+    auto addRow = [&](const char *name, const RunResult &r,
+                      const std::string &work) {
+        table.addRow({name, formatPercent(r.utilization),
+                      gb(r.peakReserved) + " GB",
+                      formatDouble(r.samplesPerSec, 2), work});
+    };
+    addRow("caching (no defrag)",
+           ctx.replay(row, AllocatorKind::caching).combined, "-");
 
-    const auto caching =
-        ctx.run(base, AllocatorKind::caching, {}, "OPT-13B/LR");
-    table.addRow({"caching (no defrag)",
-                  formatPercent(caching.utilization),
-                  gb(caching.peakReserved) + " GB",
-                  formatDouble(caching.samplesPerSec, 2), "-"});
-
-    {
-        const auto cfg = ctx.adjust(base);
-        vmm::Device device(ctx.adjust(vmm::DeviceConfig{}));
-        alloc::CompactingAllocator compacting(device);
-        const auto trace = workload::generateTrainingTrace(cfg);
-        const auto r = runTrace(compacting, device, trace, &cfg);
-        ctx.record("OPT-13B/LR", r.allocator, r);
+    ReplayHooks moving;
+    moving.finish = [&](vmm::Device &, alloc::Allocator &allocator,
+                        const MultiRunResult &multi) {
+        const auto &compacting =
+            static_cast<const alloc::CompactingAllocator &>(allocator);
         ctx.metric("compacting", "compaction_cycles",
                    static_cast<double>(compacting.compactions()));
         ctx.metric("compacting", "bytes_moved",
                    static_cast<double>(compacting.bytesMoved()));
-        table.addRow(
-            {"compacting (moves data)", formatPercent(r.utilization),
-             gb(r.peakReserved) + " GB",
-             formatDouble(r.samplesPerSec, 2),
-             std::to_string(compacting.compactions()) + " cycles, " +
-                 formatBytes(compacting.bytesMoved()) + " copied"});
-    }
+        addRow("compacting (moves data)", multi.combined,
+               std::to_string(compacting.compactions()) + " cycles, " +
+                   formatBytes(compacting.bytesMoved()) + " copied");
+    };
+    ctx.replay(row, AllocatorKind::compacting, moving);
 
-    {
-        const auto cfg = ctx.adjust(base);
-        vmm::Device device(ctx.adjust(vmm::DeviceConfig{}));
-        core::GMLakeAllocator lake(device);
-        const auto trace = workload::generateTrainingTrace(cfg);
-        const auto r = runTrace(lake, device, trace, &cfg);
-        ctx.record("OPT-13B/LR", r.allocator, r);
-        ctx.metric("gmlake", "stitches",
-                   static_cast<double>(lake.strategy().stitches));
-        table.addRow(
-            {"gmlake (stitches)", formatPercent(r.utilization),
-             gb(r.peakReserved) + " GB",
-             formatDouble(r.samplesPerSec, 2),
-             std::to_string(lake.strategy().stitches) +
-                 " stitches, 0 B copied"});
-    }
+    ReplayHooks stitching;
+    stitching.finish = [&](vmm::Device &, alloc::Allocator &allocator,
+                           const MultiRunResult &multi) {
+        const auto stitches =
+            static_cast<const core::GMLakeAllocator &>(allocator)
+                .strategy()
+                .stitches;
+        ctx.metric("gmlake", "stitches", static_cast<double>(stitches));
+        addRow("gmlake (stitches)", multi.combined,
+               std::to_string(stitches) + " stitches, 0 B copied");
+    };
+    ctx.replay(row, AllocatorKind::gmlake, stitching);
     table.print(ctx.out());
     ctx.out() << "(a moving collector also cannot be dropped under a "
                  "DL framework transparently:\n live tensors hold raw "
@@ -877,54 +1061,69 @@ runStitchVsMove(ExperimentContext &ctx)
 
 // ------------------------------------------------- VMM designs
 
+const struct
+{
+    const char *model;
+    const char *strategies;
+    int batch;
+} kVmmTrainingRows[] = {
+    {"OPT-13B", "LR", 16},
+    {"GPT-NeoX-20B", "LR", 48},
+    {"GPT-NeoX-20B", "LRO", 24},
+};
+
+const AllocatorKind kVmmDesigns[] = {AllocatorKind::caching,
+                                     AllocatorKind::expandable,
+                                     AllocatorKind::gmlake};
+
+/** Three training rows, then the serving row "serve/b32". */
+std::vector<RunSpec>
+vmmDesignsRows(const ExperimentOptions &o)
+{
+    std::vector<RunSpec> rows;
+    for (const auto &t : kVmmTrainingRows) {
+        rows.push_back(trainRow(
+            o, trainConfig(t.model, t.strategies, 4, t.batch, 10),
+            std::string(t.model) + "/" + t.strategies + "/b" +
+                std::to_string(t.batch)));
+    }
+    rows.push_back(serveRow(o, servingConfig(o, 32), "serve/b32"));
+    return rows;
+}
+
 void
 runVmmDesigns(ExperimentContext &ctx)
 {
-    auto trainingRows = [&](Table &table, const char *model,
-                            const char *strat, int batch) {
-        const auto cfg = trainConfig(model, strat, 4, batch, 10);
-        for (const auto kind : {AllocatorKind::caching,
-                                AllocatorKind::expandable,
-                                AllocatorKind::gmlake}) {
-            const auto r = ctx.run(
-                cfg, kind, {},
-                std::string(model) + "/" + strat + "/b" +
-                    std::to_string(batch));
-            table.addRow({std::string(model) + " " + strat,
-                          allocatorKindName(kind),
-                          oomOr(r, formatPercent(r.utilization)),
-                          oomOr(r, gb(r.peakReserved) + " GB"),
-                          formatDouble(r.samplesPerSec, 2)});
-        }
-    };
-
+    const std::vector<RunSpec> rows = vmmDesignsRows(ctx.options());
     {
         ctx.out() << "\nTraining workloads (4 GPUs):\n";
         Table table({"Workload", "Allocator", "Utilization",
                      "Peak reserved", "Thr (s/s)"});
-        trainingRows(table, "OPT-13B", "LR", 16);
-        trainingRows(table, "GPT-NeoX-20B", "LR", 48);
-        trainingRows(table, "GPT-NeoX-20B", "LRO", 24);
+        for (std::size_t i = 0; i < std::size(kVmmTrainingRows); ++i) {
+            const RunSpec row = materialize(rows[i]);
+            for (const auto kind : kVmmDesigns) {
+                const auto r = ctx.replay(row, kind).combined;
+                table.addRow({std::string(kVmmTrainingRows[i].model) +
+                                  " " + kVmmTrainingRows[i].strategies,
+                              allocatorKindName(kind),
+                              oomOr(r, formatPercent(r.utilization)),
+                              oomOr(r, gb(r.peakReserved) + " GB"),
+                              formatDouble(r.samplesPerSec, 2)});
+            }
+        }
         table.print(ctx.out());
     }
 
     {
         ctx.out() << "\nServing workload (OPT-13B, continuous "
                      "batching, 32 concurrent):\n";
-        workload::ServeConfig cfg;
-        cfg.model = workload::findModel("OPT-13B");
-        cfg.requests = 192;
-        cfg.maxBatch = 32;
-        const auto gen =
-            workload::generateServingTrace(ctx.adjust(cfg));
-
+        const auto gen = workload::generateServingTrace(
+            servingConfig(ctx.options(), 32));
+        const RunSpec row = materialize(rows.back());
         Table table({"Allocator", "Utilization", "Peak reserved",
                      "Tokens/s"});
-        for (const auto kind : {AllocatorKind::caching,
-                                AllocatorKind::expandable,
-                                AllocatorKind::gmlake}) {
-            const auto r =
-                ctx.runTrace(kind, gen.trace, "serve/b32");
+        for (const auto kind : kVmmDesigns) {
+            const auto r = ctx.replay(row, kind).combined;
             table.addRow(
                 {allocatorKindName(kind),
                  oomOr(r, formatPercent(r.utilization)),
@@ -941,29 +1140,19 @@ runVmmDesigns(ExperimentContext &ctx)
 // --------------------------------------------- colocation (sessions)
 
 /**
- * Run @p sessions co-located on one adjusted device under @p kind and
- * record the combined result as @p label.
+ * Replay co-located @p row under @p kind, record it, and add each
+ * session's verdict and peak as metrics.
  */
 MultiRunResult
-runColocated(ExperimentContext &ctx, AllocatorKind kind,
-             std::vector<Session> sessions, const std::string &label,
-             const ScenarioOptions &scenario = {})
+replayColocated(ExperimentContext &ctx, const RunSpec &row,
+                AllocatorKind kind)
 {
-    const ScenarioOptions opts = ctx.adjust(scenario);
-    vmm::Device device(opts.device);
-    const auto allocator = makeAllocator(kind, device, opts.gmlake);
-    SimEngine engine(*allocator, device, opts.engine);
-    for (Session &session : sessions)
-        engine.addSession(std::move(session));
-    MultiRunResult multi = engine.run();
-    ctx.record(label, multi.combined.allocator, multi.combined);
+    MultiRunResult multi = ctx.replay(row, kind);
+    const std::string name = allocatorKindName(kind);
     for (const SessionResult &s : multi.sessions) {
-        ctx.metric(label + "/" + s.name,
-                   std::string(allocatorKindName(kind)) + "_oom",
+        ctx.metric(row.label + "/" + s.name, name + "_oom",
                    s.oom ? 1.0 : 0.0);
-        ctx.metric(label + "/" + s.name,
-                   std::string(allocatorKindName(kind)) +
-                       "_peak_live_bytes",
+        ctx.metric(row.label + "/" + s.name, name + "_peak_live_bytes",
                    static_cast<double>(s.peakLiveBytes));
     }
     return multi;
@@ -979,43 +1168,50 @@ sessionCell(const MultiRunResult &multi, const std::string &name)
     return "ok, peak " + formatBytes(s->peakLiveBytes);
 }
 
-void
-runColocateTrainServe(ExperimentContext &ctx)
+std::vector<RunSpec>
+colocateTrainServeRows(const ExperimentOptions &o)
 {
     // One device, two tenants: an OPT-13B fine-tune (the footprint
     // owner) and an OPT-13B KV-cache serving process (variable-size
     // churn in whatever is left). Fragmentation from either tenant
     // eats into the other's headroom.
-    auto train = ctx.adjust(trainConfig("OPT-13B", "LR", 4, 16, 8));
+    const auto train =
+        o.adjust(trainConfig("OPT-13B", "LR", 4, 16, 8));
     workload::ServeConfig serve;
     serve.model = workload::findModel("OPT-13B");
     serve.requests = 160;
     serve.maxBatch = 24;
-    serve = ctx.adjust(serve);
+    serve = o.adjust(serve);
 
-    // One trace per tenant, replayed (borrowed) under every
-    // allocator — the same-workload comparison the paper makes.
-    const workload::Trace trainTrace =
-        workload::generateTrainingTrace(train);
-    const workload::Trace serveTrace =
-        workload::generateServingTrace(serve).trace;
+    RunSpec row = newRow(o, "OPT-13B train+serve", train.seed);
+    row.addTrace("train", [train] {
+        return workload::generateTrainingTrace(train);
+    });
+    row.addTrace("serve", [serve] {
+        return workload::generateServingTrace(serve).trace;
+    });
+    return {row};
+}
 
+void
+runColocateTrainServe(ExperimentContext &ctx)
+{
+    // One trace per tenant, replayed under every allocator — the
+    // same-workload comparison the paper makes.
+    const RunSpec row =
+        materialize(colocateTrainServeRows(ctx.options()).front());
     Table table({"Allocator", "Utilization", "Peak reserved",
                  "Train session", "Serve session"});
     for (const auto kind :
          {AllocatorKind::caching, AllocatorKind::gmlake}) {
-        std::vector<Session> sessions;
-        sessions.emplace_back("train", &trainTrace);
-        sessions.emplace_back("serve", &serveTrace);
-        const auto multi = runColocated(
-            ctx, kind, std::move(sessions), "OPT-13B train+serve");
+        const auto multi = replayColocated(ctx, row, kind);
         table.addRow(
             {allocatorKindName(kind),
              formatPercent(multi.combined.utilization),
              gb(multi.combined.peakReserved) + " GB",
              sessionCell(multi, "train"),
              sessionCell(multi, "serve")});
-        ctx.metric("OPT-13B train+serve", allocatorKindName(kind),
+        ctx.metric(row.label, allocatorKindName(kind),
                    multi.combined.utilization);
     }
     table.print(ctx.out());
@@ -1023,8 +1219,8 @@ runColocateTrainServe(ExperimentContext &ctx)
                  "reclaimed; the survivor replayed on)\n";
 }
 
-void
-runColocateTwoServing(ExperimentContext &ctx)
+std::vector<RunSpec>
+colocateTwoServingRows(const ExperimentOptions &o)
 {
     // Two serving tenants with different models and admission rates
     // share one device; the second tenant arrives mid-run, landing in
@@ -1033,7 +1229,7 @@ runColocateTwoServing(ExperimentContext &ctx)
     big.model = workload::findModel("OPT-13B");
     big.requests = 192;
     big.maxBatch = 32;
-    big = ctx.adjust(big);
+    big = o.adjust(big);
 
     workload::ServeConfig small = big;
     small.model = workload::findModel("GLM-10B");
@@ -1041,82 +1237,88 @@ runColocateTwoServing(ExperimentContext &ctx)
     small.maxBatch = 16;
     small.seed = deriveSeed(big.seed, 1);
 
-    const workload::Trace bigTrace =
-        workload::generateServingTrace(big).trace;
-    const workload::Trace smallTrace =
-        workload::generateServingTrace(small).trace;
+    RunSpec row = newRow(o, "two-tenant serving", big.seed);
+    row.addTrace("opt-13b", [big] {
+        return workload::generateServingTrace(big).trace;
+    });
+    // The second tenant spins up after the first has been decoding
+    // for a while.
+    row.addTrace(
+        "glm-10b",
+        [small] { return workload::generateServingTrace(small).trace; },
+        Tick{2'000'000'000});
+    return {row};
+}
 
+void
+runColocateTwoServing(ExperimentContext &ctx)
+{
+    const RunSpec row =
+        materialize(colocateTwoServingRows(ctx.options()).front());
     Table table({"Allocator", "Utilization", "Peak reserved",
                  "OPT-13B tenant", "GLM-10B tenant"});
     for (const auto kind :
          {AllocatorKind::caching, AllocatorKind::gmlake}) {
-        std::vector<Session> sessions;
-        sessions.emplace_back("opt-13b", &bigTrace);
-        // The second tenant spins up after the first has been
-        // decoding for a while.
-        sessions.emplace_back("glm-10b", &smallTrace,
-                              Tick{2'000'000'000});
-        const auto multi = runColocated(
-            ctx, kind, std::move(sessions), "two-tenant serving");
+        const auto multi = replayColocated(ctx, row, kind);
         table.addRow(
             {allocatorKindName(kind),
              formatPercent(multi.combined.utilization),
              gb(multi.combined.peakReserved) + " GB",
              sessionCell(multi, "opt-13b"),
              sessionCell(multi, "glm-10b")});
-        ctx.metric("two-tenant serving", allocatorKindName(kind),
+        ctx.metric(row.label, allocatorKindName(kind),
                    multi.combined.utilization);
     }
     table.print(ctx.out());
 }
 
-void
-runColocateOversub(ExperimentContext &ctx)
+std::vector<RunSpec>
+colocateOversubRows(const ExperimentOptions &o)
 {
     // Pack 1..4 identical training tenants onto a device sized for
     // about three of them: the sweep finds how many co-located jobs
     // each allocator sustains before fragmentation turns headroom
     // into OOMs.
-    const auto base =
-        ctx.adjust(trainConfig("OPT-1.3B", "LR", 4, 48, 6));
-    ScenarioOptions scenario;
-    scenario.device.capacity = 32_GiB;
-
-    constexpr int kMaxTenants = 4;
-    std::vector<workload::Trace> tenantTraces;
-    tenantTraces.reserve(kMaxTenants);
-    for (int t = 0; t < kMaxTenants; ++t) {
-        auto cfg = base;
-        cfg.seed =
-            deriveSeed(base.seed, static_cast<std::uint64_t>(t));
-        tenantTraces.push_back(workload::generateTrainingTrace(cfg));
+    const auto base = o.adjust(trainConfig("OPT-1.3B", "LR", 4, 48, 6));
+    std::vector<RunSpec> rows;
+    for (int tenants = 1; tenants <= 4; ++tenants) {
+        RunSpec row = newRow(o, "oversub x" + std::to_string(tenants),
+                             base.seed, 32_GiB);
+        for (int t = 0; t < tenants; ++t) {
+            auto cfg = base;
+            cfg.seed =
+                deriveSeed(base.seed, static_cast<std::uint64_t>(t));
+            row.addTrace("tenant" + std::to_string(t), [cfg] {
+                return workload::generateTrainingTrace(cfg);
+            });
+        }
+        rows.push_back(std::move(row));
     }
+    return rows;
+}
 
+void
+runColocateOversub(ExperimentContext &ctx)
+{
     Table table({"Tenants", "Allocator", "Utilization",
                  "Peak reserved", "Survivors"});
-    for (int tenants = 1; tenants <= kMaxTenants; ++tenants) {
-        const std::string label =
-            "oversub x" + std::to_string(tenants);
+    for (const RunSpec &spec : colocateOversubRows(ctx.options())) {
+        const RunSpec row = materialize(spec);
         for (const auto kind :
              {AllocatorKind::caching, AllocatorKind::gmlake}) {
-            std::vector<Session> sessions;
-            for (int t = 0; t < tenants; ++t) {
-                sessions.emplace_back("tenant" + std::to_string(t),
-                                      &tenantTraces[t]);
-            }
-            const auto multi = runColocated(
-                ctx, kind, std::move(sessions), label, scenario);
+            const auto multi = replayColocated(ctx, row, kind);
             int survivors = 0;
             for (const auto &s : multi.sessions)
                 survivors += s.oom ? 0 : 1;
-            table.addRow({std::to_string(tenants),
+            table.addRow({std::to_string(row.sessions.size()),
                           allocatorKindName(kind),
                           formatPercent(multi.combined.utilization),
                           gb(multi.combined.peakReserved) + " GB",
                           std::to_string(survivors) + "/" +
-                              std::to_string(tenants)});
-            ctx.metric(label, std::string(allocatorKindName(kind)) +
-                                  "_survivors",
+                              std::to_string(row.sessions.size())});
+            ctx.metric(row.label,
+                       std::string(allocatorKindName(kind)) +
+                           "_survivors",
                        survivors);
         }
     }
@@ -1183,8 +1385,8 @@ makeStressTrace(std::uint64_t seed, int churnOps)
     return builder.take();
 }
 
-void
-runStressAllocator(ExperimentContext &ctx)
+std::vector<RunSpec>
+stressAllocatorRows(const ExperimentOptions &o)
 {
     // "Iterations" scale the churn phase: the default run replays
     // 100k+ events; CI smoke (--iterations 1) stays proportionally
@@ -1193,84 +1395,81 @@ runStressAllocator(ExperimentContext &ctx)
     // (and a million-iteration trace would not fit in memory
     // anyway).
     const long long scaled =
-        2000LL * static_cast<long long>(ctx.iterations(20));
+        2000LL * static_cast<long long>(o.iterationsOr(20));
     const int churnOps = static_cast<int>(
         std::min<long long>(scaled, 2'000'000));
-    const std::uint64_t seed =
-        ctx.options().seed != 0 ? ctx.options().seed : 42;
-    const workload::Trace trace = makeStressTrace(seed, churnOps);
-    ctx.out() << "stress workload: " << trace.size()
-              << " events, deep inactive pools, 4 streams\n\n";
-
+    RunSpec row = newRow(o, "stress", o.seedOr(42));
     // Exact-fit discipline: with the near-match tolerance at zero the
     // fast path only absorbs exact repeats, so the BestFit search —
     // the structure under test — carries the load.
-    ScenarioOptions scenario;
-    scenario.gmlake.nearMatchTolerance = 0.0;
+    row.gmlake.nearMatchTolerance = 0.0;
+    row.addTrace("main", [seed = row.seed, churnOps] {
+        return makeStressTrace(seed, churnOps);
+    });
+    return {row};
+}
+
+/** GMLake's pool depth and strategy counters, as metrics and a line. */
+void
+reportPools(ExperimentContext &ctx, const alloc::Allocator &allocator,
+            bool splits)
+{
+    const auto &lake =
+        static_cast<const core::GMLakeAllocator &>(allocator);
+    const auto &s = lake.strategy();
+    ctx.metric("gmlake", "stitches", static_cast<double>(s.stitches));
+    if (splits)
+        ctx.metric("gmlake", "splits", static_cast<double>(s.splits));
+    addMetrics(
+        ctx, "gmlake",
+        {{"s3_multi_blocks", static_cast<double>(s.s3MultiBlocks)},
+         {"pblocks", static_cast<double>(lake.pBlockCount())},
+         {"sblocks", static_cast<double>(lake.sBlockCount())}});
+    ctx.out() << "gmlake pools at end: " << lake.pBlockCount()
+              << " pBlocks, " << lake.sBlockCount()
+              << " sBlocks; strategy: " << s.s1ExactMatch << " exact, "
+              << s.s2SingleBlock << " single, " << s.s3MultiBlocks
+              << " stitched, " << s.s4Insufficient << " grown\n";
+}
+
+void
+runStressAllocator(ExperimentContext &ctx)
+{
+    const RunSpec row =
+        materialize(stressAllocatorRows(ctx.options()).front());
+    ctx.out() << "stress workload: " << row.sessions[0].trace()->size()
+              << " events, deep inactive pools, 4 streams\n\n";
 
     Table table({"Allocator", "Utilization", "Peak reserved",
                  "Alloc wall", "p50", "p99", "VMM wall",
                  "Run wall"});
     auto wallRow = [&](const RunResult &r) {
-        table.addRow(
-            {r.allocator,
-             oomOr(r, formatPercent(r.utilization)),
-             oomOr(r, gb(r.peakReserved) + " GB"),
-             formatDouble(static_cast<double>(r.allocWallNs) * 1e-6,
-                          1) + " ms",
-             formatDouble(
-                 static_cast<double>(r.allocWallP50Ns) * 1e-3, 1) +
-                 " us",
-             formatDouble(
-                 static_cast<double>(r.allocWallP99Ns) * 1e-3, 1) +
-                 " us",
-             formatDouble(static_cast<double>(r.vmmWallNs) * 1e-6,
-                          1) + " ms",
-             formatDouble(static_cast<double>(r.runWallNs) * 1e-6,
-                          1) + " ms"});
-        ctx.metric(r.allocator, "alloc_wall_ns",
-                   static_cast<double>(r.allocWallNs));
-        ctx.metric(r.allocator, "alloc_wall_p50_ns",
-                   static_cast<double>(r.allocWallP50Ns));
-        ctx.metric(r.allocator, "alloc_wall_p99_ns",
-                   static_cast<double>(r.allocWallP99Ns));
-        ctx.metric(r.allocator, "vmm_wall_ns",
-                   static_cast<double>(r.vmmWallNs));
-        ctx.metric(r.allocator, "run_wall_ns",
-                   static_cast<double>(r.runWallNs));
+        table.addRow({r.allocator,
+                      oomOr(r, formatPercent(r.utilization)),
+                      oomOr(r, gb(r.peakReserved) + " GB"),
+                      ms(r.allocWallNs), us(r.allocWallP50Ns),
+                      us(r.allocWallP99Ns), ms(r.vmmWallNs),
+                      ms(r.runWallNs)});
+        addMetrics(
+            ctx, r.allocator,
+            {{"alloc_wall_ns", static_cast<double>(r.allocWallNs)},
+             {"alloc_wall_p50_ns", static_cast<double>(r.allocWallP50Ns)},
+             {"alloc_wall_p99_ns", static_cast<double>(r.allocWallP99Ns)},
+             {"vmm_wall_ns", static_cast<double>(r.vmmWallNs)},
+             {"run_wall_ns", static_cast<double>(r.runWallNs)}});
     };
 
-    wallRow(ctx.runTrace(AllocatorKind::caching, trace, "stress",
-                         scenario));
+    wallRow(ctx.replay(row, AllocatorKind::caching).combined);
 
-    {
-        // Manual gmlake run so the pool depth and strategy counters
-        // land in the report alongside the wallclock.
-        const ScenarioOptions opts = ctx.adjust(scenario);
-        vmm::Device device(opts.device);
-        core::GMLakeAllocator lake(device, opts.gmlake);
-        const auto r =
-            runTrace(lake, device, trace, nullptr, opts.engine);
-        ctx.record("stress", r.allocator, r);
-        wallRow(r);
-        const auto &s = lake.strategy();
-        ctx.metric("gmlake", "stitches",
-                   static_cast<double>(s.stitches));
-        ctx.metric("gmlake", "splits",
-                   static_cast<double>(s.splits));
-        ctx.metric("gmlake", "s3_multi_blocks",
-                   static_cast<double>(s.s3MultiBlocks));
-        ctx.metric("gmlake", "pblocks",
-                   static_cast<double>(lake.pBlockCount()));
-        ctx.metric("gmlake", "sblocks",
-                   static_cast<double>(lake.sBlockCount()));
-        ctx.out() << "gmlake pools at end: " << lake.pBlockCount()
-                  << " pBlocks, " << lake.sBlockCount()
-                  << " sBlocks; strategy: " << s.s1ExactMatch
-                  << " exact, " << s.s2SingleBlock << " single, "
-                  << s.s3MultiBlocks << " stitched, "
-                  << s.s4Insufficient << " grown\n";
-    }
+    // The gmlake pool depth and strategy counters land in the report
+    // alongside the wallclock.
+    ReplayHooks hooks;
+    hooks.finish = [&](vmm::Device &, alloc::Allocator &allocator,
+                       const MultiRunResult &multi) {
+        wallRow(multi.combined);
+        reportPools(ctx, allocator, true);
+    };
+    ctx.replay(row, AllocatorKind::gmlake, hooks);
     table.print(ctx.out());
 }
 
@@ -1351,96 +1550,67 @@ makeFragChurnTrace(std::uint64_t seed, int churnOps)
     return builder.take();
 }
 
-void
-runFragChurn(ExperimentContext &ctx)
+std::vector<RunSpec>
+fragChurnRows(const ExperimentOptions &o)
 {
     // 64-bit intermediate + cap, as in the stress scenario: smoke
     // runs shrink proportionally, full scale replays ~100k events.
     const long long scaled =
-        1600LL * static_cast<long long>(ctx.iterations(20));
+        1600LL * static_cast<long long>(o.iterationsOr(20));
     const int churnOps = static_cast<int>(
         std::min<long long>(scaled, 2'000'000));
-    const std::uint64_t seed =
-        ctx.options().seed != 0 ? ctx.options().seed : 1337;
-    const workload::Trace trace = makeFragChurnTrace(seed, churnOps);
-    ctx.out() << "frag-churn workload: " << trace.size()
-              << " events, checkerboard holes + deep stitches, 4 "
-                 "streams\n\n";
-
     // A 40 GiB device keeps real pressure on the hole map without
     // pushing the caching allocator over the edge; zero near-match
     // tolerance forces the stitch-heavy search exactly like the
     // stress scenario.
-    ScenarioOptions scenario;
-    scenario.device.capacity = 40_GiB;
-    scenario.gmlake.nearMatchTolerance = 0.0;
+    RunSpec row = newRow(o, "frag-churn", o.seedOr(1337), 40_GiB);
+    row.gmlake.nearMatchTolerance = 0.0;
+    row.addTrace("main", [seed = row.seed, churnOps] {
+        return makeFragChurnTrace(seed, churnOps);
+    });
+    return {row};
+}
+
+void
+runFragChurn(ExperimentContext &ctx)
+{
+    const RunSpec row =
+        materialize(fragChurnRows(ctx.options()).front());
+    ctx.out() << "frag-churn workload: "
+              << row.sessions[0].trace()->size()
+              << " events, checkerboard holes + deep stitches, 4 "
+                 "streams\n\n";
 
     Table table({"Allocator", "Utilization", "Peak holes",
                  "Alloc wall", "p99", "VMM wall", "Run wall"});
-    auto wallRow = [&](const RunResult &r, std::size_t peakHoles) {
-        table.addRow(
-            {r.allocator,
-             oomOr(r, formatPercent(r.utilization)),
-             std::to_string(peakHoles),
-             formatDouble(static_cast<double>(r.allocWallNs) * 1e-6,
-                          1) + " ms",
-             formatDouble(
-                 static_cast<double>(r.allocWallP99Ns) * 1e-3, 1) +
-                 " us",
-             formatDouble(static_cast<double>(r.vmmWallNs) * 1e-6,
-                          1) + " ms",
-             formatDouble(static_cast<double>(r.runWallNs) * 1e-6,
-                          1) + " ms"});
-        ctx.metric(r.allocator, "alloc_wall_ns",
-                   static_cast<double>(r.allocWallNs));
-        ctx.metric(r.allocator, "alloc_wall_p99_ns",
-                   static_cast<double>(r.allocWallP99Ns));
-        ctx.metric(r.allocator, "vmm_wall_ns",
-                   static_cast<double>(r.vmmWallNs));
-        ctx.metric(r.allocator, "run_wall_ns",
-                   static_cast<double>(r.runWallNs));
-        // Deterministic fragmentation shape: pinned by the decision
-        // digests, so a hole-structure rewrite that changes
-        // placement is caught immediately.
-        ctx.metric(r.allocator, "phys_peak_holes",
-                   static_cast<double>(peakHoles));
+    // The device's hole statistics and gmlake's pools are read before
+    // the replay tears them down.
+    ReplayHooks hooks;
+    hooks.finish = [&](vmm::Device &device, alloc::Allocator &allocator,
+                       const MultiRunResult &multi) {
+        const RunResult &r = multi.combined;
+        const std::size_t peakHoles = device.phys().peakHoleCount();
+        table.addRow({r.allocator,
+                      oomOr(r, formatPercent(r.utilization)),
+                      std::to_string(peakHoles), ms(r.allocWallNs),
+                      us(r.allocWallP99Ns), ms(r.vmmWallNs),
+                      ms(r.runWallNs)});
+        // phys_peak_holes is the deterministic fragmentation shape:
+        // pinned by the decision digests, so a hole-structure rewrite
+        // that changes placement is caught immediately.
+        addMetrics(
+            ctx, r.allocator,
+            {{"alloc_wall_ns", static_cast<double>(r.allocWallNs)},
+             {"alloc_wall_p99_ns", static_cast<double>(r.allocWallP99Ns)},
+             {"vmm_wall_ns", static_cast<double>(r.vmmWallNs)},
+             {"run_wall_ns", static_cast<double>(r.runWallNs)},
+             {"phys_peak_holes", static_cast<double>(peakHoles)}});
+        if (r.allocator == "gmlake")
+            reportPools(ctx, allocator, false);
     };
-
-    // Manual runs (not ctx.runTrace) so the device outlives the
-    // replay and its hole statistics can be reported.
-    const ScenarioOptions opts = ctx.adjust(scenario);
-    for (const auto kind :
-         {AllocatorKind::native, AllocatorKind::caching,
-          AllocatorKind::gmlake}) {
-        vmm::Device device(opts.device);
-        const auto allocator =
-            makeAllocator(kind, device, opts.gmlake);
-        const auto r = runTrace(*allocator, device, trace, nullptr,
-                                opts.engine);
-        ctx.record("frag-churn", r.allocator, r);
-        wallRow(r, device.phys().peakHoleCount());
-        if (kind == AllocatorKind::gmlake) {
-            const auto &lake = static_cast<
-                const core::GMLakeAllocator &>(*allocator);
-            const auto &s = lake.strategy();
-            ctx.metric("gmlake", "stitches",
-                       static_cast<double>(s.stitches));
-            ctx.metric("gmlake", "s3_multi_blocks",
-                       static_cast<double>(s.s3MultiBlocks));
-            ctx.metric("gmlake", "pblocks",
-                       static_cast<double>(lake.pBlockCount()));
-            ctx.metric("gmlake", "sblocks",
-                       static_cast<double>(lake.sBlockCount()));
-            ctx.out() << "gmlake pools at end: "
-                      << lake.pBlockCount() << " pBlocks, "
-                      << lake.sBlockCount()
-                      << " sBlocks; strategy: " << s.s1ExactMatch
-                      << " exact, " << s.s2SingleBlock
-                      << " single, " << s.s3MultiBlocks
-                      << " stitched, " << s.s4Insufficient
-                      << " grown\n";
-        }
-    }
+    for (const auto kind : {AllocatorKind::native, AllocatorKind::caching,
+                            AllocatorKind::gmlake})
+        ctx.replay(row, kind, hooks);
     table.print(ctx.out());
 }
 
@@ -1571,136 +1741,87 @@ makeServeOffloadTrace(std::uint64_t seed, Bytes weightBytes,
     return builder.take();
 }
 
-/** One allocator x offload-tier configuration of a scenario row. */
-struct OffloadRunSpec
-{
-    AllocatorKind kind;
-    bool offload = false;
-    offload::PolicyKind policy = offload::PolicyKind::lru;
-    const char *rowName; //!< allocator column, e.g. "gmlake+offload"
-};
-
 /**
- * Run borrowed tenant traces co-located on one adjusted device under
- * @p spec, with an OffloadManager attached when the spec asks for
- * one, and record combined + per-tenant results.
+ * Replay the offload @p row under every variant of @p variants and
+ * tabulate survivors and tier traffic; each run's kills and traffic
+ * also land as metrics.
  */
-MultiRunResult
-runOffloadSpec(ExperimentContext &ctx, const OffloadRunSpec &spec,
-               const std::vector<const workload::Trace *> &traces,
-               const std::vector<Tick> &starts,
-               const std::string &label,
-               const ScenarioOptions &scenario)
-{
-    const ScenarioOptions opts = ctx.adjust(scenario);
-    vmm::Device device(opts.device);
-    const auto allocator =
-        makeAllocator(spec.kind, device, opts.gmlake);
-    std::unique_ptr<offload::OffloadManager> tier;
-    EngineOptions engineOptions = opts.engine;
-    if (spec.offload) {
-        offload::OffloadConfig cfg;
-        cfg.policy = spec.policy;
-        tier = std::make_unique<offload::OffloadManager>(
-            device, *allocator, cfg);
-        engineOptions.offload = tier.get();
-    }
-    SimEngine engine(*allocator, device, engineOptions);
-    for (std::size_t i = 0; i < traces.size(); ++i) {
-        engine.addSession(Session("tenant" + std::to_string(i),
-                                  traces[i], starts[i]));
-    }
-    MultiRunResult multi = engine.run();
-    ctx.record(label, spec.rowName, multi.combined);
-
-    int kills = 0;
-    for (const SessionResult &s : multi.sessions)
-        kills += s.oom ? 1 : 0;
-    ctx.metric(label, std::string(spec.rowName) + "_kills", kills);
-    ctx.metric(label, std::string(spec.rowName) + "_evicted_bytes",
-               static_cast<double>(multi.combined.evictedBytes));
-    ctx.metric(label, std::string(spec.rowName) + "_faulted_bytes",
-               static_cast<double>(multi.combined.faultedBytes));
-    ctx.metric(label, std::string(spec.rowName) + "_stall_ns",
-               static_cast<double>(multi.combined.stallNs));
-    return multi;
-}
-
-std::string
-offloadRow(const MultiRunResult &multi)
-{
-    int kills = 0;
-    for (const SessionResult &s : multi.sessions)
-        kills += s.oom ? 1 : 0;
-    return std::to_string(
-               static_cast<int>(multi.sessions.size()) - kills) +
-           "/" + std::to_string(multi.sessions.size());
-}
-
 void
-runOversubOffload(ExperimentContext &ctx)
+replayOffloadVariants(ExperimentContext &ctx, const RunSpec &row,
+                      const std::vector<AllocatorVariant> &variants)
+{
+    Table table({"Allocator", "Survivors", "Peak reserved",
+                 "Evicted", "Faulted", "Copy stall", "Sim time"});
+    for (const AllocatorVariant &variant : variants) {
+        const auto multi = ctx.replay(row, variant);
+        const std::string name = variant.name();
+        int kills = 0;
+        for (const SessionResult &s : multi.sessions)
+            kills += s.oom ? 1 : 0;
+        const RunResult &r = multi.combined;
+        for (const auto &[suffix, value] :
+             {std::pair{"_kills", static_cast<double>(kills)},
+              {"_evicted_bytes", static_cast<double>(r.evictedBytes)},
+              {"_faulted_bytes", static_cast<double>(r.faultedBytes)},
+              {"_stall_ns", static_cast<double>(r.stallNs)}})
+            ctx.metric(row.label, name + suffix, value);
+        table.addRow({name,
+                      std::to_string(multi.sessions.size() - kills) +
+                          "/" + std::to_string(multi.sessions.size()),
+                      gb(r.peakReserved) + " GB",
+                      formatBytes(r.evictedBytes),
+                      formatBytes(r.faultedBytes), formatTime(r.stallNs),
+                      formatTime(r.simTime)});
+    }
+    table.print(ctx.out());
+}
+
+constexpr auto kLru = offload::PolicyKind::lru;
+constexpr auto kSizeAware = offload::PolicyKind::sizeAware;
+
+std::vector<RunSpec>
+oversubOffloadRows(const ExperimentOptions &o)
 {
     // Four training tenants, each with a 12 GiB resident set, on a
     // 32 GiB device: 48 GiB of demand, 1.5x capacity. Without a host
     // tier the device cannot admit the third tenant's resident set;
     // with one, idle tenants' weights spill to host and fault back
     // when their phase comes around.
-    const int iterations = ctx.iterations(6);
-    constexpr int kTenants = 4;
-    const std::uint64_t seed =
-        ctx.options().seed != 0 ? ctx.options().seed : 42;
-
-    ScenarioOptions scenario;
-    scenario.device.capacity = 32_GiB;
-
-    std::vector<workload::Trace> traces;
-    std::vector<const workload::Trace *> borrowed;
-    std::vector<Tick> starts;
-    traces.reserve(kTenants);
-    for (int t = 0; t < kTenants; ++t) {
-        traces.push_back(makeOffloadTenantTrace(
-            deriveSeed(seed, static_cast<std::uint64_t>(t)),
-            12_GiB, /*residentTensors=*/6, iterations,
-            /*transientsPerPhase=*/3,
-            /*phaseNs=*/Tick{40'000'000}, /*prefetchHints=*/true));
+    const int iterations = o.iterationsOr(6);
+    RunSpec row = newRow(o, "oversub 1.5x", o.seedOr(42), 32_GiB);
+    for (int t = 0; t < 4; ++t) {
+        const std::uint64_t seed =
+            deriveSeed(row.seed, static_cast<std::uint64_t>(t));
+        row.addTrace(
+            "tenant" + std::to_string(t),
+            [seed, iterations] {
+                return makeOffloadTenantTrace(
+                    seed, 12_GiB, /*residentTensors=*/6, iterations,
+                    /*transientsPerPhase=*/3,
+                    /*phaseNs=*/Tick{40'000'000},
+                    /*prefetchHints=*/true);
+            },
+            static_cast<Tick>(t) * Tick{25'000'000});
     }
-    for (int t = 0; t < kTenants; ++t) {
-        borrowed.push_back(&traces[static_cast<std::size_t>(t)]);
-        starts.push_back(static_cast<Tick>(t) * Tick{25'000'000});
-    }
-    ctx.out() << "oversub workload: " << kTenants << " tenants x "
-              << "12 GiB resident on 32 GiB (1.5x capacity), "
-              << iterations << " iterations each\n\n";
+    return {row};
+}
 
-    const OffloadRunSpec specs[] = {
-        {AllocatorKind::native, false, offload::PolicyKind::lru,
-         "native"},
-        {AllocatorKind::caching, false, offload::PolicyKind::lru,
-         "caching"},
-        {AllocatorKind::gmlake, false, offload::PolicyKind::lru,
-         "gmlake"},
-        {AllocatorKind::caching, true, offload::PolicyKind::lru,
-         "caching+offload"},
-        {AllocatorKind::gmlake, true, offload::PolicyKind::lru,
-         "gmlake+offload(lru)"},
-        {AllocatorKind::gmlake, true, offload::PolicyKind::sizeAware,
-         "gmlake+offload(size-aware)"},
-    };
-
-    Table table({"Allocator", "Survivors", "Peak reserved",
-                 "Evicted", "Faulted", "Copy stall", "Sim time"});
-    for (const OffloadRunSpec &spec : specs) {
-        const auto multi = runOffloadSpec(
-            ctx, spec, borrowed, starts, "oversub 1.5x", scenario);
-        table.addRow(
-            {spec.rowName, offloadRow(multi),
-             gb(multi.combined.peakReserved) + " GB",
-             formatBytes(multi.combined.evictedBytes),
-             formatBytes(multi.combined.faultedBytes),
-             formatTime(multi.combined.stallNs),
-             formatTime(multi.combined.simTime)});
-    }
-    table.print(ctx.out());
+void
+runOversubOffload(ExperimentContext &ctx)
+{
+    const RunSpec row =
+        materialize(oversubOffloadRows(ctx.options()).front());
+    ctx.out() << "oversub workload: " << row.sessions.size()
+              << " tenants x 12 GiB resident on 32 GiB (1.5x "
+                 "capacity), "
+              << ctx.options().iterationsOr(6)
+              << " iterations each\n\n";
+    replayOffloadVariants(
+        ctx, row,
+        {AllocatorKind::native, AllocatorKind::caching,
+         AllocatorKind::gmlake, {AllocatorKind::caching, kLru},
+         {AllocatorKind::gmlake, kLru},
+         {AllocatorKind::gmlake, kSizeAware}});
     ctx.out() << "(a host tier only helps an allocator that can "
                  "release physical memory under live\n virtual "
                  "addresses: gmlake+offload keeps every tenant, the "
@@ -1708,8 +1829,8 @@ runOversubOffload(ExperimentContext &ctx)
                  "live data and still loses tenants)\n";
 }
 
-void
-runServeBurstOffload(ExperimentContext &ctx)
+std::vector<RunSpec>
+serveBurstOffloadRows(const ExperimentOptions &o)
 {
     // A steady serving tenant (10 GiB of weights + a KV window) owns
     // a 16 GiB device; a burst tenant with its own model instance
@@ -1717,77 +1838,72 @@ runServeBurstOffload(ExperimentContext &ctx)
     // then drains. Spiky serving is the offload tier's natural home:
     // the burst borrows the steady tenant's idle weights' backing
     // and gives it back when the spike ends.
-    const int iterations = ctx.iterations(4);
-    const int steadyRounds = 24 * iterations;
-    const int burstRounds = 10 * iterations;
-    const std::uint64_t seed =
-        ctx.options().seed != 0 ? ctx.options().seed : 1234;
+    const int iterations = o.iterationsOr(4);
+    RunSpec row = newRow(o, "serve burst", o.seedOr(1234), 16_GiB);
+    const struct
+    {
+        int rounds;
+        std::size_t kvWindow;
+        Tick start; //!< the burst lands once the steady tenant is warm
+    } tenants[] = {{24 * iterations, 6, 0},
+                   {10 * iterations, 4, Tick{150'000'000}}};
+    for (std::uint64_t t = 0; t < 2; ++t) {
+        const std::uint64_t seed = deriveSeed(row.seed, t);
+        const auto &tenant = tenants[t];
+        row.addTrace(
+            "tenant" + std::to_string(t),
+            [seed, tenant] {
+                return makeServeOffloadTrace(
+                    seed, 10_GiB, /*weightTensors=*/5, tenant.rounds,
+                    tenant.kvWindow, /*roundNs=*/Tick{20'000'000},
+                    /*prefetchHints=*/true);
+            },
+            tenant.start);
+    }
+    return {row};
+}
 
-    ScenarioOptions scenario;
-    scenario.device.capacity = 16_GiB;
-
-    const workload::Trace steady = makeServeOffloadTrace(
-        deriveSeed(seed, 0), 10_GiB, /*weightTensors=*/5,
-        steadyRounds, /*kvWindow=*/6,
-        /*roundNs=*/Tick{20'000'000}, /*prefetchHints=*/true);
-    const workload::Trace burst = makeServeOffloadTrace(
-        deriveSeed(seed, 1), 10_GiB, /*weightTensors=*/5,
-        burstRounds, /*kvWindow=*/4,
-        /*roundNs=*/Tick{20'000'000}, /*prefetchHints=*/true);
-
-    const std::vector<const workload::Trace *> borrowed = {&steady,
-                                                           &burst};
-    // The burst lands once the steady tenant is warmed up.
-    const std::vector<Tick> starts = {0, Tick{150'000'000}};
+void
+runServeBurstOffload(ExperimentContext &ctx)
+{
+    const RunSpec row =
+        materialize(serveBurstOffloadRows(ctx.options()).front());
     ctx.out() << "serve-burst workload: steady 10 GiB + burst 10 GiB "
                  "on 16 GiB (~1.7x during the burst)\n\n";
-
-    const OffloadRunSpec specs[] = {
-        {AllocatorKind::caching, false, offload::PolicyKind::lru,
-         "caching"},
-        {AllocatorKind::gmlake, false, offload::PolicyKind::lru,
-         "gmlake"},
-        {AllocatorKind::caching, true, offload::PolicyKind::lru,
-         "caching+offload"},
-        {AllocatorKind::gmlake, true, offload::PolicyKind::lru,
-         "gmlake+offload(lru)"},
-        {AllocatorKind::gmlake, true, offload::PolicyKind::sizeAware,
-         "gmlake+offload(size-aware)"},
-    };
-
-    Table table({"Allocator", "Survivors", "Peak reserved",
-                 "Evicted", "Faulted", "Copy stall", "Sim time"});
-    for (const OffloadRunSpec &spec : specs) {
-        const auto multi = runOffloadSpec(ctx, spec, borrowed,
-                                          starts, "serve burst",
-                                          scenario);
-        table.addRow(
-            {spec.rowName, offloadRow(multi),
-             gb(multi.combined.peakReserved) + " GB",
-             formatBytes(multi.combined.evictedBytes),
-             formatBytes(multi.combined.faultedBytes),
-             formatTime(multi.combined.stallNs),
-             formatTime(multi.combined.simTime)});
-    }
-    table.print(ctx.out());
+    replayOffloadVariants(ctx, row,
+                          {AllocatorKind::caching,
+                           AllocatorKind::gmlake,
+                           {AllocatorKind::caching, kLru},
+                           {AllocatorKind::gmlake, kLru},
+                           {AllocatorKind::gmlake, kSizeAware}});
 }
 
 // --------------------------------------------- cluster (thread pool)
 
+/** The training run every rank of cluster-ranks replays. */
+RunSpec
+clusterBase(const ExperimentOptions &o)
+{
+    return trainRow(o, trainConfig("OPT-13B", "LR", 4, 16, 6), "");
+}
+
+std::vector<RunSpec>
+clusterRanksRows(const ExperimentOptions &o)
+{
+    return clusterRanks(clusterBase(o));
+}
+
 void
 runClusterRanks(ExperimentContext &ctx)
 {
-    const auto cfg =
-        ctx.adjust(trainConfig("OPT-13B", "LR", 4, 16, 6));
-
+    const RunSpec base = clusterBase(ctx.options());
+    const int threads = ctx.options().threadCount();
     Table table({"Allocator", "Worst-rank reserved",
                  "Best-rank reserved", "Min utilization",
                  "Global thr (s/s)"});
     for (const auto kind :
          {AllocatorKind::caching, AllocatorKind::gmlake}) {
-        const auto cluster = runCluster(
-            cfg, kind, ctx.adjust(ScenarioOptions{}),
-            ctx.threads());
+        const auto cluster = runCluster(base, kind, threads);
         for (std::size_t r = 0; r < cluster.ranks.size(); ++r) {
             ctx.record("rank" + std::to_string(r),
                        cluster.ranks[r].allocator, cluster.ranks[r]);
@@ -1797,15 +1913,15 @@ runClusterRanks(ExperimentContext &ctx)
              gb(cluster.maxPeakReserved()) + " GB",
              gb(cluster.minPeakReserved()) + " GB",
              formatPercent(cluster.minUtilization()),
-             formatDouble(cluster.globalSamplesPerSec(cfg), 1)});
+             formatDouble(cluster.globalSamplesPerSec(*base.train), 1)});
         ctx.metric(allocatorKindName(kind), "worst_rank",
                    static_cast<double>(cluster.worstRank()));
         ctx.metric(allocatorKindName(kind),
                    "global_samples_per_sec",
-                   cluster.globalSamplesPerSec(cfg));
+                   cluster.globalSamplesPerSec(*base.train));
     }
     table.print(ctx.out());
-    ctx.out() << "(ranks executed on " << ctx.threads()
+    ctx.out() << "(ranks executed on " << threads
               << " worker thread(s); results are identical at any "
                  "thread count)\n";
 }
@@ -1821,12 +1937,12 @@ runClusterRanks(ExperimentContext &ctx)
  * ceiling on the smoke run), which is the whole point of the
  * EventSource cursor API.
  */
-void
-runServeDay(ExperimentContext &ctx)
+std::vector<RunSpec>
+serveDayRows(const ExperimentOptions &o)
 {
     // --iterations scales the request count; the default (8) lands
     // at ≥ 10⁷ events, CI smoke (--iterations 1) stays proportional.
-    const long long scale = ctx.iterations(8);
+    const long long scale = o.iterationsOr(8);
     workload::KvServeConfig cfg;
     cfg.model = workload::findModel("OPT-1.3B");
     cfg.maxBatch = 48;
@@ -1836,75 +1952,76 @@ runServeDay(ExperimentContext &ctx)
     cfg.meanGenerateTokens = 160;
     cfg.maxContextTokens = 4096;
     cfg.blockTokens = 64;
-    cfg.seed = ctx.options().seed != 0 ? ctx.options().seed : 42;
+    cfg.seed = o.seedOr(42);
 
-    ScenarioOptions base;
     // A tight device keeps the block churn honest (~7 GiB working
     // set on 12 GiB); series sampling is off so the replay allocates
     // nothing proportional to the event count.
-    base.device.capacity = 12_GiB;
-    base.engine.recordSeries = false;
+    RunSpec row = newRow(o, "serve-day", cfg.seed, 12_GiB);
+    row.engine.recordSeries = false;
+    row.sessions.push_back(SessionSpec{
+        "main", nullptr,
+        [cfg] { return std::make_shared<workload::KvServeSource>(cfg); },
+        0});
+    return {row};
+}
 
+void
+runServeDay(ExperimentContext &ctx)
+{
+    const RunSpec row = serveDayRows(ctx.options()).front();
     {
-        workload::KvServeSource probe(cfg);
-        ctx.out() << "serving day: " << cfg.requests
-                  << " requests, ~" << probe.sizeHint()
+        const auto probe =
+            std::static_pointer_cast<workload::KvServeSource>(
+                row.sessions[0].stream());
+        ctx.out() << "serving day: " << probe->config().requests
+                  << " requests, ~" << probe->sizeHint()
                   << " events (estimated), "
-                  << formatBytes(probe.blockBytes())
+                  << formatBytes(probe->blockBytes())
                   << " KV blocks, streamed (never materialized)\n\n";
     }
 
     Table table({"Allocator", "Events", "Served", "Preempted",
                  "Peak reserved", "Util", "Events/s", "RSS growth"});
-    for (const auto kind :
-         {AllocatorKind::gmlake, AllocatorKind::caching,
-          AllocatorKind::native}) {
-        const ScenarioOptions opts = ctx.adjust(base);
-        vmm::Device device(opts.device);
-        const auto allocator =
-            makeAllocator(kind, device, opts.gmlake);
-        // Shared ownership: the engine run tears its sessions down
-        // before runSource returns, and the counters are read after.
-        const auto source =
-            std::make_shared<workload::KvServeSource>(cfg);
-        const Bytes rssBefore = currentRssBytes();
-        const auto r = runSource(*allocator, device, source, nullptr,
-                                 opts.engine);
+    // The generator's counters are read while the engine still holds
+    // the source; RSS growth is measured from just before the run.
+    const workload::KvServeSource *source = nullptr;
+    Bytes rssBefore = 0;
+    ReplayHooks hooks;
+    hooks.setup = [&](vmm::Device &, alloc::Allocator &, EngineOptions &,
+                      const std::vector<Session> &sessions) {
+        source = &static_cast<const workload::KvServeSource &>(
+            sessions[0].source());
+        rssBefore = currentRssBytes();
+    };
+    hooks.finish = [&](vmm::Device &, alloc::Allocator &,
+                       const MultiRunResult &multi) {
+        const RunResult &r = multi.combined;
+        const auto &counters = source->counters();
         const Bytes rssPeak = peakRssBytes();
         const Bytes rssGrowth =
             rssPeak > rssBefore ? rssPeak - rssBefore : 0;
-        const auto &counters = source->counters();
         const double eventsPerSec =
             r.runWallNs > 0
                 ? static_cast<double>(counters.emitted) /
                       (static_cast<double>(r.runWallNs) * 1e-9)
                 : 0.0;
-        ctx.record("serve-day", r.allocator, r);
-        // Deterministic workload facts (digest-pinned).
-        ctx.metric(r.allocator, "events",
-                   static_cast<double>(counters.emitted));
-        ctx.metric(r.allocator, "requests_served",
-                   static_cast<double>(counters.served));
-        ctx.metric(r.allocator, "preemptions",
-                   static_cast<double>(counters.preempted));
-        ctx.metric(r.allocator, "prefix_hits",
-                   static_cast<double>(counters.prefixHits));
-        ctx.metric(r.allocator, "block_allocs",
-                   static_cast<double>(counters.blockAllocs));
-        // Host-side measurements ("wall"/"rss" names are excluded
-        // from the decision digests by design).
-        ctx.metric(r.allocator, "wall_events_per_sec",
-                   eventsPerSec);
-        ctx.metric(r.allocator, "peak_rss_bytes",
-                   static_cast<double>(rssPeak));
-        ctx.metric(r.allocator, "rss_growth_bytes",
-                   static_cast<double>(rssGrowth));
-        ctx.metric(r.allocator, "alloc_wall_p50_ns",
-                   static_cast<double>(r.allocWallP50Ns));
-        ctx.metric(r.allocator, "alloc_wall_p99_ns",
-                   static_cast<double>(r.allocWallP99Ns));
-        ctx.metric(r.allocator, "run_wall_ns",
-                   static_cast<double>(r.runWallNs));
+        // Deterministic workload facts (digest-pinned), then host-side
+        // measurements ("wall"/"rss" names are excluded from the
+        // decision digests by design).
+        addMetrics(
+            ctx, r.allocator,
+            {{"events", static_cast<double>(counters.emitted)},
+             {"requests_served", static_cast<double>(counters.served)},
+             {"preemptions", static_cast<double>(counters.preempted)},
+             {"prefix_hits", static_cast<double>(counters.prefixHits)},
+             {"block_allocs", static_cast<double>(counters.blockAllocs)},
+             {"wall_events_per_sec", eventsPerSec},
+             {"peak_rss_bytes", static_cast<double>(rssPeak)},
+             {"rss_growth_bytes", static_cast<double>(rssGrowth)},
+             {"alloc_wall_p50_ns", static_cast<double>(r.allocWallP50Ns)},
+             {"alloc_wall_p99_ns", static_cast<double>(r.allocWallP99Ns)},
+             {"run_wall_ns", static_cast<double>(r.runWallNs)}});
         table.addRow(
             {r.allocator, std::to_string(counters.emitted),
              std::to_string(counters.served),
@@ -1913,7 +2030,10 @@ runServeDay(ExperimentContext &ctx)
              oomOr(r, formatPercent(r.utilization)),
              formatDouble(eventsPerSec * 1e-6, 2) + " M/s",
              formatBytes(rssGrowth)});
-    }
+    };
+    for (const auto kind : {AllocatorKind::gmlake, AllocatorKind::caching,
+                            AllocatorKind::native})
+        ctx.replay(row, kind, hooks);
     table.print(ctx.out());
     ctx.out() << "(streamed replay: host RSS growth is bounded by "
                  "live state, not event count)\n";
@@ -1921,28 +2041,37 @@ runServeDay(ExperimentContext &ctx)
 
 // ----------------------------------------------- policy sweep
 
+std::vector<RunSpec>
+sweepSmokeRows(const ExperimentOptions &o)
+{
+    // Two staggered GPT-2 tenants: small enough for CI, two sessions
+    // so the resume path covers the co-location machinery (stream
+    // namespaces, per-session seeds).
+    const int iterations = o.iterationsOr(2);
+    RunSpec row = newRow(o, "smoke", o.seedOr(42), 16_GiB);
+    for (std::uint64_t t = 0; t < 2; ++t) {
+        auto cfg = trainConfig("GPT-2", "LR", 2, 8, iterations);
+        cfg.seed = deriveSeed(row.seed, t);
+        row.addTrace(
+            "train-" + std::to_string(t),
+            [cfg] { return workload::generateTrainingTrace(cfg); },
+            static_cast<Tick>(t) * Tick{5'000'000});
+    }
+    return {row};
+}
+
 void
 runSweepSmoke(ExperimentContext &ctx)
 {
-    const std::uint64_t seed =
-        ctx.options().seed != 0 ? ctx.options().seed : 42;
-    SweepScenario scenario =
-        buildSweepScenario("smoke", seed, ctx.iterations(2));
-    if (ctx.options().deviceCapacity != 0)
-        scenario.device.capacity = ctx.options().deviceCapacity;
-
-    // A small but non-degenerate grid: 2 x 2 x 2 = 8 points.
-    SweepGrid grid;
-    grid.fragLimits = {2_MiB, 16_MiB};
-    grid.nearMatchTolerances = {0.0, 0.125};
-    grid.enableStitching = {true, false};
-    const std::vector<SweepPoint> points =
-        grid.expand(scenario.base);
-
+    const RunSpec row = sweepSmokeRows(ctx.options()).front();
     SweepRunOptions options;
-    options.threads = static_cast<std::size_t>(ctx.threads());
-    const SweepReport report = runSweep(scenario, points, options);
+    options.threads = static_cast<std::size_t>(
+        ctx.options().threadCount());
+    const SweepReport report = runSweep(
+        row, defaultSweepGrid().expand(row.gmlake), options);
 
+    // Not whole replays of the row: the shared warmup prefix and
+    // each point's tail.
     ctx.record("warmup", report.allocator, report.warmup);
     for (const SweepPointRecord &rec : report.points)
         ctx.record(rec.point.label, report.allocator, rec.tail);
@@ -1951,23 +2080,12 @@ runSweepSmoke(ExperimentContext &ctx)
     ctx.metric("sweep", "frontier_points",
                static_cast<double>(report.frontier().size()));
 
-    ctx.out() << "sweep workload: " << scenario.sessionNames.size()
+    ctx.out() << "sweep workload: " << row.sessions.size()
               << " co-located sessions, split at "
-              << formatTime(scenario.splitTime)
+              << formatTime(report.splitTime)
               << " of virtual time; " << report.points.size()
               << " policy points forked from one checkpoint\n\n";
-    Table table({"Point", "Frag", "Peak reserved", "Dev API",
-                 "Sim time", "Pareto"});
-    for (const SweepPointRecord &rec : report.points) {
-        table.addRow(
-            {rec.point.label,
-             oomOr(rec.tail, formatPercent(rec.tail.fragmentation)),
-             oomOr(rec.tail, gb(rec.tail.peakReserved) + " GB"),
-             formatTime(rec.tail.deviceApiTime),
-             formatTime(rec.tail.simTime),
-             rec.onFrontier ? "*" : ""});
-    }
-    table.print(ctx.out());
+    printSweepTable(report, ctx.out());
     ctx.out() << "(warmup prefix replayed once, checkpointed; each "
                  "point restores the checkpoint and replays only "
                  "the divergent tail — bit-identical to a full "
@@ -1978,202 +2096,171 @@ runSweepSmoke(ExperimentContext &ctx)
 
 // ----------------------------------------------------- registration
 
-void
-registerBuiltinExperiments()
+const std::vector<Experiment> &
+allExperiments()
 {
-    static bool registered = false;
-    if (registered)
-        return;
-    registered = true;
-
-    auto &registry = ExperimentRegistry::instance();
-
-    registry.add(
+    static const std::vector<Experiment> experiments = {
         {"headline", "aggregate",
-         "Section 5 — headline aggregate over the workload matrix",
-         "Paper: avg 9.2 GB (max 25 GB) reserved saved; avg 15% "
-         "(max 33%) fragmentation removed, over 76 workloads",
-         runHeadline});
-    registry.add(
+            "Section 5 — headline aggregate over the workload matrix",
+            "Paper: avg 9.2 GB (max 25 GB) reserved saved; avg 15% "
+            "(max 33%) fragmentation removed, over 76 workloads",
+            runHeadline, headlineRows},
         {"fig3", "figure",
-         "Figure 3 — utilization vs strategy combination "
-         "(baseline allocator)",
-         "Paper: P 97%, PR 80%, PLR 76%, PRO 73%, PLRO 65% — "
-         "complex strategies fragment the caching allocator",
-         runFig3});
-    registry.add(
+            "Figure 3 — utilization vs strategy combination "
+            "(baseline allocator)",
+            "Paper: P 97%, PR 80%, PLR 76%, PRO 73%, PLRO 65% — "
+            "complex strategies fragment the caching allocator",
+            runFig3, fig3Rows},
         {"fig4", "figure",
-         "Figure 4 — utilization vs GPU count (baseline allocator)",
-         "Paper: 91% at 1 GPU degrading to 76% at 16 GPUs "
-         "(OPT-13B, ZeRO-3 sharding)",
-         runFig4});
-    registry.add(
+            "Figure 4 — utilization vs GPU count (baseline allocator)",
+            "Paper: 91% at 1 GPU degrading to 76% at 16 GPUs "
+            "(OPT-13B, ZeRO-3 sharding)",
+            runFig4, fig4Rows},
         {"fig5", "figure",
-         "Figure 5 — allocation stream shape, original vs LR "
-         "(GPT-NeoX-20B)",
-         "Paper: 46k allocations @ 93 MB avg vs 76k @ 85 MB — "
-         "strategies make requests more frequent and smaller",
-         runFig5});
-    registry.add(
+            "Figure 5 — allocation stream shape, original vs LR "
+            "(GPT-NeoX-20B)",
+            "Paper: 46k allocations @ 93 MB avg vs 76k @ 85 MB — "
+            "strategies make requests more frequent and smaller",
+            runFig5, nullptr},
         {"fig6", "figure",
-         "Figure 6 — native vs virtual-memory allocation latency",
-         "Paper: VM allocator with 2 MB chunks is ~115x slower than "
-         "cudaMalloc; gap closes as chunks grow",
-         runFig6});
-    registry.add(
+            "Figure 6 — native vs virtual-memory allocation latency",
+            "Paper: VM allocator with 2 MB chunks is ~115x slower than "
+            "cudaMalloc; gap closes as chunks grow",
+            runFig6, nullptr},
         {"fig10", "figure",
-         "Figure 10 — strategy scalability, caching vs GMLake",
-         "Paper: baseline fragments 5-24% under strategy combos; "
-         "GMLake holds ~90%+ utilization on every one",
-         runFig10});
-    registry.add(
+            "Figure 10 — strategy scalability, caching vs GMLake",
+            "Paper: baseline fragments 5-24% under strategy combos; "
+            "GMLake holds ~90%+ utilization on every one",
+            runFig10, sectionRows<fig10Sections>},
         {"fig11", "figure",
-         "Figure 11 — GPU scale-out, caching vs GMLake (LR)",
-         "Paper: fragmentation grows with GPU count; GMLake keeps "
-         "~90% utilization and baseline-level throughput",
-         runFig11});
-    registry.add(
+            "Figure 11 — GPU scale-out, caching vs GMLake (LR)",
+            "Paper: fragmentation grows with GPU count; GMLake keeps "
+            "~90% utilization and baseline-level throughput",
+            runFig11, sectionRows<fig11Sections>},
         {"fig12", "figure",
-         "Figure 12 — platform scalability, caching vs GMLake",
-         "Paper: reductions of 9-33% fragmentation and 7-25 GB "
-         "reserved memory across FSDP / DeepSpeed / Colossal-AI",
-         runFig12});
-    registry.add(
+            "Figure 12 — platform scalability, caching vs GMLake",
+            "Paper: reductions of 9-33% fragmentation and 7-25 GB "
+            "reserved memory across FSDP / DeepSpeed / Colossal-AI",
+            runFig12, fig12Rows},
         {"fig13", "figure",
-         "Figure 13 — batch-size sweep, caching vs GMLake "
-         "(LR + ZeRO-3, 4 GPUs)",
-         "Paper: GMLake sustains larger batches (baseline OOMs "
-         "first) at equal or better throughput",
-         runFig13});
-    registry.add(
+            "Figure 13 — batch-size sweep, caching vs GMLake "
+            "(LR + ZeRO-3, 4 GPUs)",
+            "Paper: GMLake sustains larger batches (baseline OOMs "
+            "first) at equal or better throughput",
+            runFig13, sectionRows<fig13Sections>},
         {"fig14", "figure",
-         "Figure 14 — memory trace, GPT-NeoX-20B at the OOM "
-         "boundary (LR, 4 GPUs)",
-         "Paper: PyTorch OOMs ~200 s in; GMLake's reserved tracks "
-         "its active memory and converges after ~4 iterations",
-         runFig14});
-    registry.add(
+            "Figure 14 — memory trace, GPT-NeoX-20B at the OOM "
+            "boundary (LR, 4 GPUs)",
+            "Paper: PyTorch OOMs ~200 s in; GMLake's reserved tracks "
+            "its active memory and converges after ~4 iterations",
+            runFig14, fig14Rows},
         {"table1", "table",
-         "Table 1 — VMM API execution-time breakdown",
-         "Paper: reserve 0.003/0.003/0.002, create 18.1/0.89/0.79, "
-         "map 0.70/0.01/0.002, setAccess 96.8/8.2/0.7, total "
-         "115.4/9.1/1.5 (x cuMemAlloc)",
-         runTable1});
-    registry.add(
+            "Table 1 — VMM API execution-time breakdown",
+            "Paper: reserve 0.003/0.003/0.002, create 18.1/0.89/0.79, "
+            "map 0.70/0.01/0.002, setAccess 96.8/8.2/0.7, total "
+            "115.4/9.1/1.5 (x cuMemAlloc)",
+            runTable1, nullptr},
         {"ablation", "extension",
-         "Ablation — GMLake design knobs (OPT-13B, LR, 4 GPUs)",
-         "Trade-offs the paper discusses in Sections 4.2.2/4.2.3",
-         runAblation});
-    registry.add(
+            "Ablation — GMLake design knobs (OPT-13B, LR, 4 GPUs)",
+            "Trade-offs the paper discusses in Sections 4.2.2/4.2.3",
+            runAblation, sectionRows<ablationSections>},
         {"native-vs-caching", "section",
-         "Section 2.2 — native vs caching allocator, end to end",
-         "Paper: disabling the caching allocator slows OPT-1.3B "
-         "training by ~9.7x",
-         runNativeVsCaching});
-    registry.add(
+            "Section 2.2 — native vs caching allocator, end to end",
+            "Paper: disabling the caching allocator slows OPT-1.3B "
+            "training by ~9.7x",
+            runNativeVsCaching, nativeVsCachingRows},
         {"pytorch-knobs", "extension",
-         "Extension — PyTorch allocator knobs vs GMLake",
-         "Tuning the caching allocator recovers part of the "
-         "fragmentation; stitching removes it",
-         runPytorchKnobs});
-    registry.add(
+            "Extension — PyTorch allocator knobs vs GMLake",
+            "Tuning the caching allocator recovers part of the "
+            "fragmentation; stitching removes it",
+            runPytorchKnobs, pytorchKnobsRows},
         {"serving", "extension",
-         "Extension — KV-cache serving (continuous batching, "
-         "OPT-13B)",
-         "Variable-length KV buffers fragment the caching "
-         "allocator; stitching absorbs them (cf. vLLM, Section 6)",
-         runServing});
-    registry.add(
+            "Extension — KV-cache serving (continuous batching, "
+            "OPT-13B)",
+            "Variable-length KV buffers fragment the caching "
+            "allocator; stitching absorbs them (cf. vLLM, Section 6)",
+            runServing, servingRows},
         {"stitch-vs-move", "extension",
-         "Related work — stitching vs compaction-based moving",
-         "Paper Section 6: stitching avoids the data movement of "
-         "consolidation-based defragmentation",
-         runStitchVsMove});
-    registry.add(
+            "Related work — stitching vs compaction-based moving",
+            "Paper Section 6: stitching avoids the data movement of "
+            "consolidation-based defragmentation",
+            runStitchVsMove, stitchVsMoveRows},
         {"colocate-train-serve", "extension",
-         "Colocation — training + KV-cache serving on one GPU "
-         "(multi-session engine)",
-         "Co-located tenants contend for one heap; fragmentation "
-         "from either eats the other's headroom, stitching returns "
-         "it",
-         runColocateTrainServe});
-    registry.add(
+            "Colocation — training + KV-cache serving on one GPU "
+            "(multi-session engine)",
+            "Co-located tenants contend for one heap; fragmentation "
+            "from either eats the other's headroom, stitching returns "
+            "it",
+            runColocateTrainServe, colocateTrainServeRows},
         {"colocate-two-serving", "extension",
-         "Colocation — two serving tenants, staggered arrival "
-         "(multi-session engine)",
-         "A tenant that arrives mid-run lands in a heap the first "
-         "tenant already fragmented",
-         runColocateTwoServing});
-    registry.add(
+            "Colocation — two serving tenants, staggered arrival "
+            "(multi-session engine)",
+            "A tenant that arrives mid-run lands in a heap the first "
+            "tenant already fragmented",
+            runColocateTwoServing, colocateTwoServingRows},
         {"colocate-oversub", "extension",
-         "Colocation — oversubscription sweep, 1-4 training tenants "
-         "on a 32 GiB device",
-         "How many co-located jobs survive before fragmentation "
-         "turns headroom into OOM; dead tenants are reclaimed",
-         runColocateOversub});
-    registry.add(
+            "Colocation — oversubscription sweep, 1-4 training tenants "
+            "on a 32 GiB device",
+            "How many co-located jobs survive before fragmentation "
+            "turns headroom into OOM; dead tenants are reclaimed",
+            runColocateOversub, colocateOversubRows},
         {"oversub-offload", "extension",
-         "Oversubscription — 4 tenants x 12 GiB on 32 GiB (1.5x), "
-         "host tier spills/faults the idle sets",
-         "True oversubscription beyond capacity: without offload the "
-         "device kills tenants, with it gmlake completes all four by "
-         "unmap/remap spilling whole pBlocks",
-         runOversubOffload});
-    registry.add(
+            "Oversubscription — 4 tenants x 12 GiB on 32 GiB (1.5x), "
+            "host tier spills/faults the idle sets",
+            "True oversubscription beyond capacity: without offload the "
+            "device kills tenants, with it gmlake completes all four by "
+            "unmap/remap spilling whole pBlocks",
+            runOversubOffload, oversubOffloadRows},
         {"serve-burst-offload", "extension",
-         "Serving burst — a second tenant spikes demand to ~1.7x "
-         "capacity, then drains",
-         "Spiky serving colocation: the burst borrows the steady "
-         "tenant's idle weights via the host tier; prefetch hints "
-         "hide the fault-back latency",
-         runServeBurstOffload});
-    registry.add(
+            "Serving burst — a second tenant spikes demand to ~1.7x "
+            "capacity, then drains",
+            "Spiky serving colocation: the burst borrows the steady "
+            "tenant's idle weights via the host tier; prefetch hints "
+            "hide the fault-back latency",
+            runServeBurstOffload, serveBurstOffloadRows},
         {"stress-allocator", "extension",
-         "Stress — allocator hot-path wallclock under deep pools "
-         "(100k+ events, 4 streams)",
-         "Per-request BestFit cost must track the candidate set, not "
-         "the pool size; alloc_wall_ns p50/p99 make it measurable",
-         runStressAllocator});
-    registry.add(
+            "Stress — allocator hot-path wallclock under deep pools "
+            "(100k+ events, 4 streams)",
+            "Per-request BestFit cost must track the candidate set, not "
+            "the pool size; alloc_wall_ns p50/p99 make it measurable",
+            runStressAllocator, stressAllocatorRows},
         {"frag-churn", "extension",
-         "Fragmentation churn — hole-riddled physical space + deep "
-         "stitched pools (100k events)",
-         "VMM bookkeeping must cost O(extents), not O(chunks) or "
-         "O(holes): vmm_wall_ns isolates the simulator's hole-scan "
-         "and mapping-table cost from the pool search",
-         runFragChurn});
-    registry.add(
+            "Fragmentation churn — hole-riddled physical space + deep "
+            "stitched pools (100k events)",
+            "VMM bookkeeping must cost O(extents), not O(chunks) or "
+            "O(holes): vmm_wall_ns isolates the simulator's hole-scan "
+            "and mapping-table cost from the pool search",
+            runFragChurn, fragChurnRows},
         {"cluster-ranks", "extension",
-         "Cluster — every data-parallel rank simulated, in parallel "
-         "on a thread pool",
-         "The job's fate is set by the worst rank: one OOM kills "
-         "it, lockstep makes the slowest rank set the pace",
-         runClusterRanks});
-    registry.add(
+            "Cluster — every data-parallel rank simulated, in parallel "
+            "on a thread pool",
+            "The job's fate is set by the worst rank: one OOM kills "
+            "it, lockstep makes the slowest rank set the pace",
+            runClusterRanks, clusterRanksRows},
         {"serve-day", "extension",
-         "Serving day — ~10⁷ paged KV-cache events streamed through "
-         "gmlake vs caching vs native",
-         "The EventSource cursor API replays generator workloads at "
-         "full scale with flat host RSS; stitching absorbs the "
-         "paged-block churn without the caching allocator's "
-         "reserved-memory creep",
-         runServeDay});
-    registry.add(
+            "Serving day — ~10⁷ paged KV-cache events streamed through "
+            "gmlake vs caching vs native",
+            "The EventSource cursor API replays generator workloads at "
+            "full scale with flat host RSS; stitching absorbs the "
+            "paged-block churn without the caching allocator's "
+            "reserved-memory creep",
+            runServeDay, serveDayRows},
         {"sweep-smoke", "extension",
-         "Policy sweep — checkpoint/restore warm-started grid over "
-         "GMLake knobs (smoke scale)",
-         "One shared warmup prefix is replayed once and "
-         "checkpointed; every sweep point restores it and replays "
-         "only the divergent tail, bit-identical to re-replaying "
-         "the whole run per point",
-         runSweepSmoke});
-    registry.add(
+            "Policy sweep — checkpoint/restore warm-started grid over "
+            "GMLake knobs (smoke scale)",
+            "One shared warmup prefix is replayed once and "
+            "checkpointed; every sweep point restores it and replays "
+            "only the divergent tail, bit-identical to re-replaying "
+            "the whole run per point",
+            runSweepSmoke, sweepSmokeRows},
         {"vmm-designs", "extension",
-         "Extension — VMM allocator designs: stitching vs "
-         "expandable segments",
-         "GMLake (ASPLOS'24) vs the PyTorch expandable_segments "
-         "design it influenced, vs the classic caching allocator",
-         runVmmDesigns});
+            "Extension — VMM allocator designs: stitching vs "
+            "expandable segments",
+            "GMLake (ASPLOS'24) vs the PyTorch expandable_segments "
+            "design it influenced, vs the classic caching allocator",
+            runVmmDesigns, vmmDesignsRows},
+    };
+    return experiments;
 }
 
 } // namespace gmlake::sim

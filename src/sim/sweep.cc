@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <memory>
+#include <ostream>
 #include <utility>
 
 #include "alloc/allocator.hh"
@@ -11,10 +12,10 @@
 #include "support/rng.hh"
 #include "support/stopwatch.hh"
 #include "support/strings.hh"
+#include "support/table.hh"
 #include "support/thread_pool.hh"
 #include "support/units.hh"
-#include "workload/servegen.hh"
-#include "workload/tracegen.hh"
+#include "workload/event_source.hh"
 
 namespace gmlake::sim
 {
@@ -36,30 +37,12 @@ pointLabel(const core::GMLakeConfig &c)
         " stitch=", c.enableStitching ? "on" : "off");
 }
 
-/** start + total compute of one session, i.e. its final local time. */
-Tick
-traceSpan(const workload::Trace &trace, Tick startTime)
+/** A session input that hands out one already-built trace. */
+std::function<std::shared_ptr<const workload::Trace>()>
+constantTrace(workload::Trace trace)
 {
-    Tick local = startTime;
-    for (const workload::Event &event : trace.events()) {
-        if (event.kind == workload::EventKind::compute)
-            local += event.computeNs;
-    }
-    return local;
-}
-
-workload::TrainConfig
-sweepTrainConfig(const char *model, const char *strategies, int gpus,
-                 int batch, int iterations, std::uint64_t seed)
-{
-    workload::TrainConfig cfg;
-    cfg.model = workload::findModel(model);
-    cfg.strategies = workload::Strategies::parse(strategies);
-    cfg.gpus = gpus;
-    cfg.batchSize = batch;
-    cfg.iterations = iterations;
-    cfg.seed = seed;
-    return cfg;
+    return [shared = std::make_shared<const workload::Trace>(
+                std::move(trace))] { return shared; };
 }
 
 /** What the warmup replay leaves behind for the per-point forks. */
@@ -72,54 +55,42 @@ struct WarmupArtifacts
 };
 
 WarmupArtifacts
-replayWarmup(const SweepScenario &scenario,
-             const std::vector<workload::Trace> &warmupTraces,
-             const SweepRunOptions &options)
+replayWarmup(const RunSpec &warmupRow, AllocatorKind kind)
 {
-    vmm::Device device(scenario.device);
-    const auto allocator =
-        makeAllocator(options.kind, device, scenario.base);
-    EngineOptions engineOptions;
-    engineOptions.recordSeries = false;
-    engineOptions.captureResume = true;
-    SimEngine engine(*allocator, device, engineOptions);
-    for (std::size_t i = 0; i < warmupTraces.size(); ++i) {
-        engine.addSession(Session(scenario.sessionNames[i],
-                                  &warmupTraces[i],
-                                  scenario.startTimes[i]));
-    }
-    MultiRunResult multi = engine.run();
+    WarmupArtifacts artifacts;
+    ReplayHooks hooks;
+    hooks.finish = [&](vmm::Device &, alloc::Allocator &allocator,
+                       const MultiRunResult &) {
+        artifacts.checkpoint = allocator.saveState();
+    };
+    MultiRunResult multi = replay(warmupRow, kind, hooks);
     GMLAKE_ASSERT(multi.resume != nullptr,
                   "warmup run captured no resume state");
-    return WarmupArtifacts{allocator->saveState(), multi.resume,
-                           std::move(multi.combined),
-                           multi.anyOom()};
+    artifacts.resume = multi.resume;
+    artifacts.oom = multi.anyOom();
+    artifacts.result = std::move(multi.combined);
+    return artifacts;
 }
 
 RunResult
-replayTail(const SweepScenario &scenario,
-           const std::vector<workload::Trace> &tailTraces,
-           const core::GMLakeConfig &config,
-           const WarmupArtifacts &warmup,
-           const SweepRunOptions &options)
+replayTail(RunSpec tailRow, const core::GMLakeConfig &config,
+           const WarmupArtifacts &warmup, AllocatorKind kind)
 {
-    vmm::Device device(scenario.device);
-    const auto allocator =
-        makeAllocator(options.kind, device, config);
-    allocator->restoreState(warmup.checkpoint);
-    EngineOptions engineOptions;
-    engineOptions.recordSeries = false;
-    engineOptions.startFrontier = warmup.resume->frontier;
-    SimEngine engine(*allocator, device, engineOptions);
+    tailRow.gmlake = config;
+    tailRow.engine.startFrontier = warmup.resume->frontier;
+    ReplayHooks hooks;
+    hooks.setup = [&](vmm::Device &, alloc::Allocator &allocator,
+                      EngineOptions &, const std::vector<Session> &) {
+        allocator.restoreState(warmup.checkpoint);
+    };
     // Every session rides along — even one whose tail is empty or
     // that died during warmup — so stream namespacing and reclaim's
     // survivor scan match the uninterrupted replay.
-    for (std::size_t i = 0; i < tailTraces.size(); ++i) {
-        engine.addSession(
-            Session(scenario.sessionNames[i], &tailTraces[i]));
-        engine.seedSession(i, warmup.resume->sessions[i]);
-    }
-    return engine.run().combined;
+    hooks.start = [&](SimEngine &engine) {
+        for (std::size_t i = 0; i < warmup.resume->sessions.size(); ++i)
+            engine.seedSession(i, warmup.resume->sessions[i]);
+    };
+    return replay(tailRow, kind, hooks).combined;
 }
 
 /** a dominates b on (fragmentation, deviceApiTime, simTime). */
@@ -219,76 +190,30 @@ randomSweepPoints(const core::GMLakeConfig &base, std::size_t count,
     return points;
 }
 
-const std::vector<std::string> &
-sweepScenarioNames()
+const SweepGrid &
+defaultSweepGrid()
 {
-    static const std::vector<std::string> names = {"smoke", "train",
-                                                   "colocate"};
-    return names;
+    static const SweepGrid grid = [] {
+        SweepGrid g;
+        g.fragLimits = {2_MiB, 16_MiB};
+        g.nearMatchTolerances = {0.0, 0.125};
+        g.enableStitching = {true, false};
+        return g;
+    }();
+    return grid;
 }
 
-SweepScenario
-buildSweepScenario(const std::string &name, std::uint64_t seed,
-                   int iterations)
+Tick
+sweepSplitTime(const RunSpec &row)
 {
-    SweepScenario scenario;
-    scenario.name = name;
-    if (name == "smoke") {
-        // Two staggered GPT-2 tenants: small enough for CI, two
-        // sessions so the resume path covers the co-location
-        // machinery (stream namespaces, per-session seeds).
-        const int iters = iterations > 0 ? iterations : 2;
-        scenario.device.capacity = 16_GiB;
-        for (int t = 0; t < 2; ++t) {
-            scenario.traces.push_back(
-                workload::generateTrainingTrace(sweepTrainConfig(
-                    "GPT-2", "LR", 2, 8, iters,
-                    deriveSeed(seed,
-                               static_cast<std::uint64_t>(t)))));
-            scenario.sessionNames.push_back(
-                detail::concat("train-", t));
-            scenario.startTimes.push_back(static_cast<Tick>(t) *
-                                          Tick{5'000'000});
-        }
-    } else if (name == "train") {
-        const int iters = iterations > 0 ? iterations : 6;
-        scenario.device.capacity = 24_GiB;
-        scenario.traces.push_back(workload::generateTrainingTrace(
-            sweepTrainConfig("OPT-1.3B", "LR", 4, 32, iters,
-                             deriveSeed(seed, 0))));
-        scenario.sessionNames.push_back("train");
-        scenario.startTimes.push_back(0);
-    } else if (name == "colocate") {
-        const int iters = iterations > 0 ? iterations : 4;
-        scenario.device.capacity = 24_GiB;
-        scenario.traces.push_back(workload::generateTrainingTrace(
-            sweepTrainConfig("OPT-1.3B", "LR", 2, 32, iters,
-                             deriveSeed(seed, 0))));
-        scenario.sessionNames.push_back("train");
-        scenario.startTimes.push_back(0);
-        workload::ServeConfig serveCfg;
-        serveCfg.model = workload::findModel("OPT-1.3B");
-        serveCfg.requests = 64 * iters;
-        serveCfg.seed = deriveSeed(seed, 1);
-        scenario.traces.push_back(
-            workload::generateServingTrace(serveCfg).trace);
-        scenario.sessionNames.push_back("serve");
-        scenario.startTimes.push_back(Tick{20'000'000});
-    } else {
-        GMLAKE_FATAL("unknown sweep scenario: ", name,
-                     " (available: smoke, train, colocate)");
-    }
-
-    // Default split: 75% into the longest session's timeline. The
-    // shared warmup prefix is the expensive part a warm start
-    // amortizes; the swept tail is the divergent endgame.
     Tick span = 0;
-    for (std::size_t i = 0; i < scenario.traces.size(); ++i) {
-        span = std::max(span, traceSpan(scenario.traces[i],
-                                        scenario.startTimes[i]));
+    for (const SessionSpec &session : row.sessions) {
+        GMLAKE_ASSERT(session.trace != nullptr, "session '",
+                      session.name, "' has no materialized trace");
+        workload::VectorSource source(session.trace().get());
+        span = std::max(span, sourceEnd(source, session.start));
     }
-    scenario.splitTime = span * 3 / 4;
-    return scenario;
+    return span * 3 / 4;
 }
 
 std::vector<std::size_t>
@@ -303,23 +228,22 @@ SweepReport::frontier() const
 }
 
 SweepReport
-runSweep(const SweepScenario &scenario,
-         const std::vector<SweepPoint> &points,
+runSweep(const RunSpec &row, const std::vector<SweepPoint> &points,
          const SweepRunOptions &options)
 {
     GMLAKE_ASSERT(!points.empty(), "sweep has no points");
-    GMLAKE_ASSERT(!scenario.traces.empty(),
-                  "sweep scenario has no sessions");
-    GMLAKE_ASSERT(scenario.traces.size() ==
-                          scenario.sessionNames.size() &&
-                      scenario.traces.size() ==
-                          scenario.startTimes.size(),
-                  "sweep scenario session lists disagree");
+    GMLAKE_ASSERT(!row.sessions.empty(), "sweep row has no sessions");
+    for (const SessionSpec &session : row.sessions) {
+        if (!session.trace)
+            GMLAKE_FATAL("cannot sweep row '", row.label, "': session '",
+                         session.name, "' is streamed, and a warm "
+                         "start has to split a materialized trace");
+    }
     for (const SweepPoint &point : points) {
         GMLAKE_ASSERT(
-            point.config.chunkSize == scenario.base.chunkSize &&
+            point.config.chunkSize == row.gmlake.chunkSize &&
                 point.config.smallThreshold ==
-                    scenario.base.smallThreshold,
+                    row.gmlake.smallThreshold,
             "sweep point '", point.label,
             "' changes a structural knob (chunkSize/smallThreshold); "
             "the checkpointed pool layout depends on those");
@@ -327,20 +251,27 @@ runSweep(const SweepScenario &scenario,
 
     const Stopwatch totalWall;
     SweepReport report;
-    report.scenario = scenario.name;
+    report.scenario = row.label;
     report.allocator = allocatorKindName(options.kind);
 
-    std::vector<workload::Trace> warmupTraces;
-    std::vector<workload::Trace> tailTraces;
-    warmupTraces.reserve(scenario.traces.size());
-    tailTraces.reserve(scenario.traces.size());
-    for (std::size_t i = 0; i < scenario.traces.size(); ++i) {
+    // Both halves replay without the row's training config: a prefix
+    // or a tail is not a whole run to derive throughput from.
+    const RunSpec built = materialize(row);
+    report.splitTime = sweepSplitTime(built);
+    RunSpec warmupRow = built;
+    warmupRow.train.reset();
+    warmupRow.engine.recordSeries = false;
+    warmupRow.engine.captureResume = true;
+    RunSpec tailRow = warmupRow;
+    tailRow.engine.captureResume = false;
+    for (std::size_t i = 0; i < built.sessions.size(); ++i) {
         auto [warmup, tail] =
-            splitTraceAt(scenario.traces[i],
-                         scenario.startTimes[i],
-                         scenario.splitTime);
-        warmupTraces.push_back(std::move(warmup));
-        tailTraces.push_back(std::move(tail));
+            splitTraceAt(*built.sessions[i].trace(),
+                         built.sessions[i].start, report.splitTime);
+        warmupRow.sessions[i].trace = constantTrace(std::move(warmup));
+        tailRow.sessions[i].trace = constantTrace(std::move(tail));
+        // Seeds carry each session's absolute local time.
+        tailRow.sessions[i].start = 0;
     }
 
     // Warm start: one shared warmup replay, checkpointed; every
@@ -351,7 +282,7 @@ runSweep(const SweepScenario &scenario,
     if (options.warmStart) {
         const Stopwatch warmupWall;
         shared = std::make_unique<WarmupArtifacts>(
-            replayWarmup(scenario, warmupTraces, options));
+            replayWarmup(warmupRow, options.kind));
         report.warmupWallNs = warmupWall.elapsedNs();
         report.warmup = shared->result;
         report.warmupOom = shared->oom;
@@ -364,15 +295,13 @@ runSweep(const SweepScenario &scenario,
             SweepPointRecord &record = report.points[i];
             record.point = points[i];
             if (shared != nullptr) {
-                record.tail =
-                    replayTail(scenario, tailTraces,
-                               points[i].config, *shared, options);
+                record.tail = replayTail(tailRow, points[i].config,
+                                         *shared, options.kind);
             } else {
                 const WarmupArtifacts warmup =
-                    replayWarmup(scenario, warmupTraces, options);
-                record.tail =
-                    replayTail(scenario, tailTraces,
-                               points[i].config, warmup, options);
+                    replayWarmup(warmupRow, options.kind);
+                record.tail = replayTail(tailRow, points[i].config,
+                                         warmup, options.kind);
                 if (i == 0) {
                     // Every cold point replays the identical,
                     // deterministic prefix; report point 0's copy.
@@ -398,6 +327,28 @@ runSweep(const SweepScenario &scenario,
 
     report.totalWallNs = totalWall.elapsedNs();
     return report;
+}
+
+void
+printSweepTable(const SweepReport &report, std::ostream &out)
+{
+    Table table({"Point", "Frag", "Peak reserved", "Dev API",
+                 "Sim time", "Wall", "Pareto"});
+    for (const SweepPointRecord &rec : report.points) {
+        table.addRow(
+            {rec.point.label,
+             rec.tail.oom ? "OOM"
+                          : formatPercent(rec.tail.fragmentation),
+             formatBytes(rec.tail.peakReserved),
+             formatTime(rec.tail.deviceApiTime),
+             formatTime(rec.tail.simTime), formatTime(rec.pointWallNs),
+             rec.onFrontier ? "*" : ""});
+    }
+    table.print(out);
+    out << "warmup " << formatTime(report.warmupWallNs) << ", total "
+        << formatTime(report.totalWallNs) << " ("
+        << report.frontier().size() << " Pareto point"
+        << (report.frontier().size() == 1 ? "" : "s") << ")\n";
 }
 
 void
@@ -430,7 +381,7 @@ writeSweepJson(const SweepReport &report, const SweepJsonMeta &meta,
         << "\"threads\": " << meta.threads << ", "
         << "\"warm_start\": " << (meta.warmStart ? "true" : "false")
         << ", "
-        << "\"split_time_ns\": " << meta.splitTimeNs << "},\n"
+        << "\"split_time_ns\": " << report.splitTime << "},\n"
         << "  \"warmup\": {";
     runFields(report.warmup);
     out << ", \"wall_ns\": " << report.warmupWallNs << "},\n"

@@ -19,6 +19,7 @@
 #define GMLAKE_SIM_SWEEP_HH
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,7 +42,7 @@ struct SweepPoint
  * Axes of a grid search over the GMLakeConfig *policy* knobs. An
  * empty axis keeps the base value. chunkSize and smallThreshold are
  * structural — the checkpointed pool layout depends on them — so
- * they always keep the base scenario's values and are not axes.
+ * they always keep the swept row's values and are not axes.
  */
 struct SweepGrid
 {
@@ -57,37 +58,19 @@ struct SweepGrid
 };
 
 /**
+ * The grid `run sweep-smoke` and an unqualified `gmlake_sim sweep`
+ * use: frag limit {2, 16} MiB x near-match tolerance {0, 0.125} x
+ * stitching {on, off}, 8 points.
+ */
+const SweepGrid &defaultSweepGrid();
+
+/**
  * Random search: @p count policy points drawn deterministically from
  * @p seed (ranges span the same knobs SweepGrid exposes).
  */
 std::vector<SweepPoint>
 randomSweepPoints(const core::GMLakeConfig &base, std::size_t count,
                   std::uint64_t seed);
-
-/**
- * The workload a sweep replays: co-located sessions on one device,
- * plus the virtual-time threshold separating the shared warmup
- * prefix from the swept tail.
- */
-struct SweepScenario
-{
-    std::string name;
-    vmm::DeviceConfig device{};
-    /** Warmup-phase allocator configuration (and structural knobs
-     *  every sweep point inherits). */
-    core::GMLakeConfig base{};
-    std::vector<std::string> sessionNames;
-    std::vector<workload::Trace> traces;
-    std::vector<Tick> startTimes;
-    /**
-     * Warmup/tail boundary on the merged virtual timeline: events
-     * whose local time is below it belong to the warmup prefix.
-     */
-    Tick splitTime = 0;
-};
-
-/** Names accepted by buildSweepScenario / `gmlake_sim sweep`. */
-const std::vector<std::string> &sweepScenarioNames();
 
 /**
  * Split one session's trace at the virtual-time threshold. An event
@@ -102,15 +85,16 @@ splitTraceAt(const workload::Trace &trace, Tick startTime,
              Tick splitTime);
 
 /**
- * Build a named sweep scenario ("smoke", "train" or "colocate"),
- * deterministic in @p seed. @p iterations <= 0 keeps each scenario's
- * default scale.
+ * Warmup/tail boundary of a sweep over @p row: 75% into its longest
+ * session's timeline. The shared warmup prefix is the expensive part
+ * a warm start amortizes; the swept tail is the divergent endgame.
+ * Builds the row's traces (materialize() it first to share them).
  */
-SweepScenario buildSweepScenario(const std::string &name,
-                                 std::uint64_t seed, int iterations);
+Tick sweepSplitTime(const RunSpec &row);
 
 struct SweepRunOptions
 {
+    /** No host-offload tier: its state is not checkpointed. */
     AllocatorKind kind = AllocatorKind::gmlake;
     /** Worker threads forking the per-point tail replays. */
     std::size_t threads = 1;
@@ -140,8 +124,10 @@ struct SweepPointRecord
 
 struct SweepReport
 {
-    std::string scenario;
+    std::string scenario; //!< the swept row's label
     std::string allocator;
+    /** Warmup/tail boundary on the merged virtual timeline. */
+    Tick splitTime = 0;
     /** Shared warmup-prefix replay (warm mode replays it once). */
     RunResult warmup;
     bool warmupOom = false;
@@ -154,13 +140,23 @@ struct SweepReport
 };
 
 /**
- * Run the sweep: replay the warmup prefix (once when warm-starting),
- * checkpoint, fork the tail per point on a thread pool. The point
- * order in the report matches @p points regardless of scheduling.
+ * Run the sweep over @p row: split every session at
+ * sweepSplitTime(), replay the warmup prefix (once when
+ * warm-starting), checkpoint, fork the tail per point on a thread
+ * pool. The point order in the report matches @p points regardless
+ * of scheduling. A row with a streamed session is refused (fatal):
+ * the warm start has to split a materialized trace.
  */
-SweepReport runSweep(const SweepScenario &scenario,
+SweepReport runSweep(const RunSpec &row,
                      const std::vector<SweepPoint> &points,
                      const SweepRunOptions &options = {});
+
+/**
+ * Print @p report's points (knobs, fragmentation, reserved memory,
+ * device and simulated time, wall time, Pareto mark) and the
+ * warmup/total wall line.
+ */
+void printSweepTable(const SweepReport &report, std::ostream &out);
 
 /**
  * Reproduction header of the sweep JSON report: the inputs a reader
@@ -174,7 +170,6 @@ struct SweepJsonMeta
     Bytes deviceCapacityBytes = 0;
     std::size_t threads = 1;
     bool warmStart = true;
-    Tick splitTimeNs = 0;
 };
 
 /**

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "sim/chaos.hh"
 #include "support/rng.hh"
 #include "support/units.hh"
@@ -21,13 +24,13 @@ using sim::ChaosTrialRecord;
 namespace
 {
 
-/** Fast smoke-scenario baseline the cases below perturb. */
+/** Fast sweep-smoke baseline the cases below perturb. */
 ChaosOptions
 quickOptions()
 {
     ChaosOptions options;
-    options.scenario = "smoke";
-    options.iterations = 1;
+    options.scenario = "sweep-smoke";
+    options.overrides.iterations = 1;
     options.killChance = 0.0;
     return options;
 }
@@ -126,7 +129,7 @@ TEST(ChaosSoak, ScriptedKillsAbortSessions)
     ASSERT_EQ(report.trials.size(), 1u);
     const ChaosTrialRecord &trial = report.trials[0];
     EXPECT_TRUE(trial.auditPassed);
-    EXPECT_EQ(trial.scriptedKills, 2u); // smoke = 2 tenants
+    EXPECT_EQ(trial.scriptedKills, 2u); // sweep-smoke = 2 tenants
     EXPECT_GT(trial.result.abortedSessions, 0u);
     EXPECT_EQ(report.exitCode(), sim::kChaosExitAborted);
 }
@@ -170,4 +173,71 @@ TEST(ChaosSoak, MalformedSpecFailsBeforeAnyTrial)
     options.faultSpec = "create:p=2.0";
     options.trials = 5;
     EXPECT_THROW(sim::runChaos(options), FatalError);
+}
+
+namespace
+{
+
+/** Split a replay line into shell words (single quotes group). */
+std::vector<std::string>
+shellWords(const std::string &line)
+{
+    std::vector<std::string> words;
+    std::string word;
+    bool quoted = false, any = false;
+    for (const char c : line) {
+        if (c == '\'') {
+            quoted = !quoted;
+            any = true;
+        } else if (c == ' ' && !quoted) {
+            if (any)
+                words.push_back(word);
+            word.clear();
+            any = false;
+        } else {
+            word += c;
+            any = true;
+        }
+    }
+    if (any)
+        words.push_back(word);
+    return words;
+}
+
+} // namespace
+
+TEST(ChaosSoak, ReplayLineReproducesTheTrial)
+{
+    // Every value that shapes a trial is off its default here; the
+    // printed line must carry all of them.
+    ChaosOptions options;
+    options.scenario = "colocate-train-serve/OPT-13B train+serve";
+    options.allocator = {sim::AllocatorKind::gmlake,
+                         gmlake::offload::PolicyKind::sizeAware};
+    options.overrides.iterations = 1;
+    options.overrides.seed = 9;
+    options.overrides.deviceCapacity = 40_GiB;
+    options.faultSpec = "create:p=0.02;cap:t=1,b=1G";
+    options.faultSeed = 5;
+    options.trials = 3;
+    options.killChance = 0.3;
+    const std::uint64_t trialSeed = deriveSeed(options.faultSeed, 2);
+    const ChaosTrialRecord original =
+        sim::runChaosTrial(options, trialSeed);
+
+    const std::vector<std::string> words =
+        shellWords(sim::chaosReplayLine(options, trialSeed));
+    ASSERT_GE(words.size(), 3u);
+    EXPECT_EQ(words[0], "gmlake_sim");
+    EXPECT_EQ(words[1], "chaos");
+    const sim::ChaosArgs replay =
+        sim::parseChaosArgs({words.begin() + 2, words.end()});
+    EXPECT_EQ(replay.options.scenario, options.scenario);
+    EXPECT_EQ(replay.options.trials, 1u);
+    ASSERT_EQ(replay.options.faultSeed, trialSeed);
+    const ChaosReport rerun = sim::runChaos(replay.options);
+    ASSERT_EQ(rerun.trials.size(), 1u);
+    expectSameTrial(original, rerun.trials[0]);
+    EXPECT_GT(original.result.injectedFaults, 0u);
+    EXPECT_EQ(original.capacityLost, 1_GiB);
 }

@@ -18,8 +18,7 @@
 #include "alloc/checkpoint.hh"
 #include "alloc/snapshot.hh"
 #include "core/gmlake_allocator.hh"
-#include "sim/runner.hh"
-#include "sim/session.hh"
+#include "sim/experiment.hh"
 #include "sim/sweep.hh"
 #include "support/units.hh"
 #include "vmm/fault_injector.hh"
@@ -99,9 +98,38 @@ finalStateDigest(const alloc::Allocator &allocator,
 
 // --------------------------------------------------- run harnesses
 
+/** A materialized registry row in the shape the sweep splits. */
+struct SplitScenario
+{
+    vmm::DeviceConfig device;
+    core::GMLakeConfig base;
+    std::vector<std::string> sessionNames;
+    std::vector<workload::Trace> traces;
+    std::vector<Tick> startTimes;
+    Tick splitTime = 0;
+};
+
+/** The sweep-smoke row at 2 iterations under workload @p seed. */
+SplitScenario
+smokeScenario(std::uint64_t seed)
+{
+    ExperimentOptions options;
+    options.seed = seed;
+    options.iterations = 2;
+    const RunSpec row = materialize(findRow("sweep-smoke", options));
+    SplitScenario scenario{row.device, row.gmlake, {}, {}, {},
+                           sweepSplitTime(row)};
+    for (const SessionSpec &session : row.sessions) {
+        scenario.sessionNames.push_back(session.name);
+        scenario.traces.push_back(*session.trace());
+        scenario.startTimes.push_back(session.start);
+    }
+    return scenario;
+}
+
 /** The straight run: every session replayed start to finish. */
 std::uint64_t
-straightDigest(const SweepScenario &scenario, AllocatorKind kind)
+straightDigest(const SplitScenario &scenario, AllocatorKind kind)
 {
     vmm::Device device(scenario.device);
     const auto allocator =
@@ -126,7 +154,7 @@ struct WarmupCapture
 };
 
 WarmupCapture
-runWarmup(const SweepScenario &scenario, AllocatorKind kind,
+runWarmup(const SplitScenario &scenario, AllocatorKind kind,
           const std::vector<workload::Trace> &warmupTraces)
 {
     vmm::Device device(scenario.device);
@@ -152,7 +180,7 @@ runWarmup(const SweepScenario &scenario, AllocatorKind kind,
  * the tail on @p device.
  */
 std::uint64_t
-restoredTailDigest(const SweepScenario &scenario,
+restoredTailDigest(const SplitScenario &scenario,
                    const std::vector<workload::Trace> &tailTraces,
                    const WarmupCapture &warmup,
                    alloc::Allocator &allocator, vmm::Device &device)
@@ -172,7 +200,7 @@ restoredTailDigest(const SweepScenario &scenario,
 }
 
 std::uint64_t
-splitDigest(const SweepScenario &scenario, AllocatorKind kind)
+splitDigest(const SplitScenario &scenario, AllocatorKind kind)
 {
     std::vector<workload::Trace> warmupTraces;
     std::vector<workload::Trace> tailTraces;
@@ -201,8 +229,7 @@ splitDigest(const SweepScenario &scenario, AllocatorKind kind)
  */
 TEST(CheckpointRestore, SplitRunMatchesStraightRunAllKinds)
 {
-    const SweepScenario scenario =
-        buildSweepScenario("smoke", 42, 2);
+    const SplitScenario scenario = smokeScenario(42);
     for (const AllocatorKind kind : allAllocatorKinds()) {
         EXPECT_EQ(straightDigest(scenario, kind),
                   splitDigest(scenario, kind))
@@ -214,8 +241,7 @@ TEST(CheckpointRestore, SplitRunMatchesStraightRunAllKinds)
 TEST(CheckpointRestore, EquivalenceHoldsAcrossSeedsAndSplits)
 {
     for (const std::uint64_t seed : {7ULL, 1234ULL}) {
-        SweepScenario scenario =
-            buildSweepScenario("smoke", seed, 2);
+        SplitScenario scenario = smokeScenario(seed);
         scenario.splitTime = scenario.splitTime / 3;
         for (const AllocatorKind kind :
              {AllocatorKind::gmlake, AllocatorKind::caching}) {
@@ -235,8 +261,7 @@ TEST(CheckpointRestore, EquivalenceHoldsAcrossSeedsAndSplits)
  */
 TEST(CheckpointRestore, DoubleRestoreFromOneCheckpoint)
 {
-    const SweepScenario scenario =
-        buildSweepScenario("smoke", 42, 2);
+    const SplitScenario scenario = smokeScenario(42);
     std::vector<workload::Trace> warmupTraces;
     std::vector<workload::Trace> tailTraces;
     for (std::size_t i = 0; i < scenario.traces.size(); ++i) {
@@ -269,8 +294,7 @@ TEST(CheckpointRestore, DoubleRestoreFromOneCheckpoint)
  */
 TEST(CheckpointRestore, RestoreIntoDirtyAllocator)
 {
-    const SweepScenario scenario =
-        buildSweepScenario("smoke", 42, 2);
+    const SplitScenario scenario = smokeScenario(42);
     std::vector<workload::Trace> warmupTraces;
     std::vector<workload::Trace> tailTraces;
     for (std::size_t i = 0; i < scenario.traces.size(); ++i) {
@@ -295,8 +319,7 @@ TEST(CheckpointRestore, RestoreIntoDirtyAllocator)
     const auto dirty = makeAllocator(AllocatorKind::gmlake,
                                      dirtyDevice, scenario.base);
     {
-        const SweepScenario other =
-            buildSweepScenario("smoke", 99, 2);
+        const SplitScenario other = smokeScenario(99);
         SimEngine engine(*dirty, dirtyDevice);
         engine.addSession(
             Session("noise", &other.traces[0], 0));
@@ -316,7 +339,7 @@ TEST(CheckpointRestore, RestoreIntoDirtyAllocator)
  */
 TEST(CheckpointRestore, RestoreAfterWarmupOom)
 {
-    SweepScenario scenario = buildSweepScenario("smoke", 42, 2);
+    SplitScenario scenario = smokeScenario(42);
     // Squeeze the device until a tenant dies inside the warmup
     // prefix (both tenants are ~7 GiB peak on 16 GiB by default).
     scenario.device.capacity = 5_GiB;

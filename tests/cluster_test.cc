@@ -34,7 +34,7 @@ clusterConfig(int gpus = 4)
 TEST(Cluster, RunsOneResultPerRank)
 {
     const auto cluster =
-        runCluster(clusterConfig(4), AllocatorKind::caching);
+        runCluster(trainingRun(clusterConfig(4)), AllocatorKind::caching);
     ASSERT_EQ(cluster.ranks.size(), 4u);
     for (const auto &r : cluster.ranks) {
         EXPECT_FALSE(r.oom);
@@ -46,7 +46,7 @@ TEST(Cluster, RunsOneResultPerRank)
 TEST(Cluster, RanksDivergeWithData)
 {
     const auto cluster =
-        runCluster(clusterConfig(4), AllocatorKind::caching);
+        runCluster(trainingRun(clusterConfig(4)), AllocatorKind::caching);
     // Different seeds -> different traces -> some metric spread.
     bool differs = false;
     for (std::size_t r = 1; r < cluster.ranks.size(); ++r) {
@@ -61,9 +61,9 @@ TEST(Cluster, RanksDivergeWithData)
 TEST(Cluster, GmlakeShrinksTheRankSpread)
 {
     const auto caching =
-        runCluster(clusterConfig(4), AllocatorKind::caching);
+        runCluster(trainingRun(clusterConfig(4)), AllocatorKind::caching);
     const auto lake =
-        runCluster(clusterConfig(4), AllocatorKind::gmlake);
+        runCluster(trainingRun(clusterConfig(4)), AllocatorKind::gmlake);
     EXPECT_GE(lake.minUtilization() + 0.02,
               caching.minUtilization());
     EXPECT_LE(lake.maxPeakReserved(), caching.maxPeakReserved());
@@ -72,7 +72,7 @@ TEST(Cluster, GmlakeShrinksTheRankSpread)
 TEST(Cluster, GlobalThroughputGatedBySlowestRank)
 {
     const auto cfg = clusterConfig(4);
-    const auto cluster = runCluster(cfg, AllocatorKind::caching);
+    const auto cluster = runCluster(trainingRun(cfg), AllocatorKind::caching);
     const double global = cluster.globalSamplesPerSec(cfg);
     EXPECT_GT(global, 0.0);
     // Lockstep throughput cannot exceed what the slowest rank would
@@ -87,10 +87,9 @@ TEST(Cluster, AnyRankOomFailsTheJob)
 {
     auto cfg = clusterConfig(2);
     cfg.batchSize = 512; // far beyond a 4 GiB device
-    ScenarioOptions opts;
-    opts.device.capacity = 4_GiB;
-    const auto cluster =
-        runCluster(cfg, AllocatorKind::caching, opts);
+    RunSpec spec = trainingRun(cfg);
+    spec.device.capacity = 4_GiB;
+    const auto cluster = runCluster(spec, AllocatorKind::caching);
     EXPECT_TRUE(cluster.anyOom());
 }
 
@@ -98,9 +97,9 @@ TEST(Cluster, ParallelExecutionIsBitIdenticalToSequential)
 {
     const auto cfg = clusterConfig(4);
     const auto sequential =
-        runCluster(cfg, AllocatorKind::gmlake, {}, 1);
+        runCluster(trainingRun(cfg), AllocatorKind::gmlake, 1);
     const auto parallel =
-        runCluster(cfg, AllocatorKind::gmlake, {}, 4);
+        runCluster(trainingRun(cfg), AllocatorKind::gmlake, 4);
 
     ASSERT_EQ(sequential.ranks.size(), parallel.ranks.size());
     for (std::size_t r = 0; r < sequential.ranks.size(); ++r) {

@@ -35,7 +35,7 @@ run(const char *model, const char *strat, int gpus, int batch,
     cfg.gpus = gpus;
     cfg.batchSize = batch;
     cfg.iterations = iterations;
-    return runScenario(cfg, kind);
+    return replay(trainingRun(cfg), kind).combined;
 }
 
 } // namespace

@@ -39,8 +39,10 @@ TEST(Integration, GmlakeNeverWorseUtilizationThanCaching)
     // The headline claim, across the strategy matrix.
     for (const char *strat : {"N", "R", "LR", "RO", "LRO"}) {
         const auto cfg = scenario("OPT-1.3B", strat, 4, 32, 6);
-        const auto caching = runScenario(cfg, AllocatorKind::caching);
-        const auto lake = runScenario(cfg, AllocatorKind::gmlake);
+        const auto caching =
+            replay(trainingRun(cfg), AllocatorKind::caching).combined;
+        const auto lake =
+            replay(trainingRun(cfg), AllocatorKind::gmlake).combined;
         ASSERT_FALSE(caching.oom) << strat;
         ASSERT_FALSE(lake.oom) << strat;
         EXPECT_GE(lake.utilization + 0.02, caching.utilization)
@@ -55,11 +57,11 @@ TEST(Integration, ComplexStrategiesFragmentTheBaseline)
 {
     // Observation 1: N stays tight, LRO fragments visibly.
     const auto n =
-        runScenario(scenario("OPT-1.3B", "N", 4, 32, 6),
-                    AllocatorKind::caching);
+        replay(trainingRun(scenario("OPT-1.3B", "N", 4, 32, 6)),
+               AllocatorKind::caching).combined;
     const auto lro =
-        runScenario(scenario("OPT-1.3B", "LRO", 4, 32, 6),
-                    AllocatorKind::caching);
+        replay(trainingRun(scenario("OPT-1.3B", "LRO", 4, 32, 6)),
+               AllocatorKind::caching).combined;
     EXPECT_GT(lro.fragmentation, n.fragmentation);
     EXPECT_GT(lro.fragmentation, 0.06);
 }
@@ -68,8 +70,8 @@ TEST(Integration, GmlakeKeepsFragmentationLow)
 {
     for (const char *strat : {"LR", "RO", "LRO"}) {
         const auto lake =
-            runScenario(scenario("OPT-1.3B", strat, 4, 32, 6),
-                        AllocatorKind::gmlake);
+            replay(trainingRun(scenario("OPT-1.3B", strat, 4, 32, 6)),
+                   AllocatorKind::gmlake).combined;
         EXPECT_LT(lake.fragmentation, 0.10) << strat;
     }
 }
@@ -83,8 +85,10 @@ TEST(Integration, NativeAllocatorIsFarSlowerThanCaching)
     // a large end-to-end hit and an allocator-time gap well over an
     // order of magnitude.
     const auto cfg = scenario("OPT-1.3B", "R", 2, 2, 3);
-    const auto native = runScenario(cfg, AllocatorKind::native);
-    const auto caching = runScenario(cfg, AllocatorKind::caching);
+    const auto native =
+        replay(trainingRun(cfg), AllocatorKind::native).combined;
+    const auto caching =
+        replay(trainingRun(cfg), AllocatorKind::caching).combined;
     ASSERT_FALSE(native.oom);
     ASSERT_FALSE(caching.oom);
     EXPECT_GT(native.simTime,
@@ -95,28 +99,27 @@ TEST(Integration, NativeAllocatorIsFarSlowerThanCaching)
 TEST(Integration, GmlakeThroughputComparableToCaching)
 {
     const auto cfg = scenario("OPT-13B", "LR", 4, 8, 8);
-    const auto caching = runScenario(cfg, AllocatorKind::caching);
-    const auto lake = runScenario(cfg, AllocatorKind::gmlake);
+    const auto caching =
+        replay(trainingRun(cfg), AllocatorKind::caching).combined;
+    const auto lake = replay(trainingRun(cfg), AllocatorKind::gmlake).combined;
     // Within 12% (the paper reports near-parity).
     EXPECT_GT(lake.samplesPerSec, 0.88 * caching.samplesPerSec);
 }
 
 TEST(Integration, GmlakeSurvivesBatchesWhereCachingOoms)
 {
-    // Fig 13: under memory pressure the baseline OOMs first. Use a
-    // small device so the effect appears quickly.
-    ScenarioOptions opts; // default A100-80GB device
-
+    // Fig 13: under memory pressure the baseline OOMs first (on the
+    // default A100-80GB device).
     auto cfg = scenario("GPT-NeoX-20B", "LR", 4, 8, 5);
     int cachingOomBatch = 0;
     int lakeOomBatch = 0;
     for (int batch = 64; batch <= 160; batch += 8) {
         cfg.batchSize = batch;
         if (cachingOomBatch == 0 &&
-            runScenario(cfg, AllocatorKind::caching, opts).oom)
+            replay(trainingRun(cfg), AllocatorKind::caching).combined.oom)
             cachingOomBatch = batch;
         if (lakeOomBatch == 0 &&
-            runScenario(cfg, AllocatorKind::gmlake, opts).oom)
+            replay(trainingRun(cfg), AllocatorKind::gmlake).combined.oom)
             lakeOomBatch = batch;
         if (cachingOomBatch && lakeOomBatch)
             break;
@@ -131,10 +134,12 @@ TEST(Integration, GmlakeSurvivesBatchesWhereCachingOoms)
 TEST(Integration, ScaleOutIncreasesBaselineFragmentation)
 {
     // Observation 2 (Fig 4): more GPUs -> more fragmentation.
-    const auto g2 = runScenario(scenario("OPT-13B", "LR", 2, 8, 5),
-                                AllocatorKind::caching);
-    const auto g16 = runScenario(scenario("OPT-13B", "LR", 16, 8, 5),
-                                 AllocatorKind::caching);
+    const auto g2 =
+        replay(trainingRun(scenario("OPT-13B", "LR", 2, 8, 5)),
+               AllocatorKind::caching).combined;
+    const auto g16 =
+        replay(trainingRun(scenario("OPT-13B", "LR", 16, 8, 5)),
+               AllocatorKind::caching).combined;
     EXPECT_GT(g16.fragmentation, g2.fragmentation);
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * End-to-end provenance probe tests: `runProbe` replays a sweep
- * scenario with the recorder active, builds the ledger, and answers
+ * End-to-end provenance probe tests: `runProbe` replays a registry
+ * row with the recorder active, builds the ledger, and answers
  * tensor / point-in-time queries with real attribution — non-trivial
  * origins (fresh reserve, stitch of N) and nonzero device-API cost
  * for large allocations, which is exactly what the ledger join-order
@@ -25,8 +25,8 @@ ProbeOptions
 smokeOptions()
 {
     ProbeOptions opt;
-    opt.scenario = "smoke";
-    opt.seed = 42;
+    opt.scenario = "sweep-smoke";
+    opt.overrides.seed = 42;
     return opt;
 }
 

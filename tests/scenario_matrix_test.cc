@@ -52,8 +52,9 @@ TEST_P(ScenarioGrid, GmlakeDominatesCaching)
     cfg.batchSize = p.batch;
     cfg.iterations = 6;
 
-    const auto caching = runScenario(cfg, AllocatorKind::caching);
-    const auto lake = runScenario(cfg, AllocatorKind::gmlake);
+    const auto caching =
+        replay(trainingRun(cfg), AllocatorKind::caching).combined;
+    const auto lake = replay(trainingRun(cfg), AllocatorKind::gmlake).combined;
     ASSERT_FALSE(caching.oom);
     ASSERT_FALSE(lake.oom);
 
@@ -171,9 +172,9 @@ TEST(EdgeCases, EngineSeriesBoundedByMaxPoints)
     cfg.gpus = 2;
     cfg.batchSize = 4;
     cfg.iterations = 6;
-    ScenarioOptions opts;
-    opts.engine.maxSeriesPoints = 64;
-    const auto r = runScenario(cfg, AllocatorKind::caching, opts);
+    RunSpec spec = trainingRun(cfg);
+    spec.engine.maxSeriesPoints = 64;
+    const auto r = replay(spec, AllocatorKind::caching).combined;
     // Decimation keeps the series close to the cap (marks and the
     // final sample add a handful of forced points).
     EXPECT_LE(r.series.size(), 96u);
@@ -202,8 +203,8 @@ TEST(EdgeCases, DeterministicAcrossRuns)
     cfg.gpus = 4;
     cfg.batchSize = 16;
     cfg.iterations = 5;
-    const auto a = runScenario(cfg, AllocatorKind::gmlake);
-    const auto b = runScenario(cfg, AllocatorKind::gmlake);
+    const auto a = replay(trainingRun(cfg), AllocatorKind::gmlake).combined;
+    const auto b = replay(trainingRun(cfg), AllocatorKind::gmlake).combined;
     EXPECT_EQ(a.peakActive, b.peakActive);
     EXPECT_EQ(a.peakReserved, b.peakReserved);
     EXPECT_EQ(a.simTime, b.simTime);

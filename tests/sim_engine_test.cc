@@ -137,7 +137,7 @@ TEST(Runner, AllKindsRunTheSameScenario)
 
     for (auto kind : {AllocatorKind::native, AllocatorKind::caching,
                       AllocatorKind::gmlake}) {
-        const auto r = runScenario(cfg, kind);
+        const auto r = replay(trainingRun(cfg), kind).combined;
         EXPECT_FALSE(r.oom) << allocatorKindName(kind);
         EXPECT_GT(r.peakActive, 0u);
         EXPECT_GE(r.peakReserved, r.peakActive);
@@ -155,8 +155,9 @@ TEST(Runner, SameTraceDifferentAllocatorsSeeSameActivePeakApprox)
     cfg.batchSize = 4;
     cfg.iterations = 3;
 
-    const auto caching = runScenario(cfg, AllocatorKind::caching);
-    const auto lake = runScenario(cfg, AllocatorKind::gmlake);
+    const auto caching =
+        replay(trainingRun(cfg), AllocatorKind::caching).combined;
+    const auto lake = replay(trainingRun(cfg), AllocatorKind::gmlake).combined;
     // Both replay the same request stream; active peaks differ only
     // by rounding policy (512 B vs 2 MiB chunks, near-match slack).
     EXPECT_NEAR(static_cast<double>(lake.peakActive),

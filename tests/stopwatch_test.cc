@@ -139,7 +139,8 @@ TEST(RunWallclock, ReplayRecordsAllocationWallTime)
     cfg.batchSize = 16;
     cfg.iterations = 2;
 
-    const auto r = sim::runScenario(cfg, sim::AllocatorKind::gmlake);
+    const auto r =
+        sim::replay(sim::trainingRun(cfg), sim::AllocatorKind::gmlake).combined;
     ASSERT_FALSE(r.oom);
     ASSERT_GT(r.allocCount, 0u);
     EXPECT_GT(r.allocWallNs, 0u);

@@ -400,9 +400,11 @@ TEST(StreamEngine, MultiStreamTraceRaisesBaselineFragmentation)
 
     cfg.multiStream = true;
     const auto multi =
-        sim::runScenario(cfg, sim::AllocatorKind::caching);
+        sim::replay(sim::trainingRun(cfg),
+                    sim::AllocatorKind::caching).combined;
     cfg.multiStream = false;
     const auto single =
-        sim::runScenario(cfg, sim::AllocatorKind::caching);
+        sim::replay(sim::trainingRun(cfg),
+                    sim::AllocatorKind::caching).combined;
     EXPECT_GE(multi.fragmentation + 0.02, single.fragmentation);
 }

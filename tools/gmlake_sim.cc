@@ -3,7 +3,8 @@
  * gmlake_sim — command-line experiment runner.
  *
  * Registry mode drives the shared experiment registry — the same
- * scenarios the bench_* binaries and CI run:
+ * scenarios CI runs; sweep, chaos and probe replay any one of their
+ * rows:
  *   gmlake_sim list
  *   gmlake_sim run headline --csv
  *   gmlake_sim run fig10 --json --iterations 4
@@ -26,6 +27,7 @@
  * Run with --help for the full flag list.
  */
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <functional>
@@ -94,24 +96,6 @@ enum FlagGroup : unsigned
     kOutputFlags = 1u << 2,   //!< trace run | replay
 };
 
-unsigned long long
-parseNumber(const char *flag, const std::string &value)
-{
-    unsigned long long parsed = 0;
-    std::size_t consumed = 0;
-    if (!value.empty() && value[0] >= '0' && value[0] <= '9') {
-        try {
-            parsed = std::stoull(value, &consumed);
-        } catch (const std::exception &) {
-            consumed = 0;
-        }
-    }
-    if (consumed == 0 || consumed != value.size())
-        GMLAKE_FATAL("flag ", flag, " needs a non-negative number, "
-                     "got '", value, "'");
-    return parsed;
-}
-
 struct FlagSpec
 {
     const char *name;
@@ -143,27 +127,27 @@ const FlagSpec kFlags[] = {
     {"--gpus", "N", kWorkloadFlags,
      "data-parallel degree (default 4)",
      [](Options &o, const std::string &v) {
-         o.gpus = static_cast<int>(parseNumber("--gpus", v));
+         o.gpus = static_cast<int>(sim::parseUnsignedFlag("--gpus", v));
      }},
     {"--batch", "N", kWorkloadFlags,
      "per-GPU batch size (default 16)",
      [](Options &o, const std::string &v) {
-         o.batch = static_cast<int>(parseNumber("--batch", v));
+         o.batch = static_cast<int>(sim::parseUnsignedFlag("--batch", v));
      }},
     {"--iterations", "N", kWorkloadFlags,
      "training iterations (default 12)",
      [](Options &o, const std::string &v) {
          o.iterations =
-             static_cast<int>(parseNumber("--iterations", v));
+             static_cast<int>(sim::parseUnsignedFlag("--iterations", v));
      }},
     {"--seq", "N", kWorkloadFlags,
      "max sequence length (default 512)",
      [](Options &o, const std::string &v) {
-         o.seqLen = static_cast<int>(parseNumber("--seq", v));
+         o.seqLen = static_cast<int>(sim::parseUnsignedFlag("--seq", v));
      }},
     {"--seed", "N", kWorkloadFlags, "workload RNG seed (default 42)",
      [](Options &o, const std::string &v) {
-         o.seed = parseNumber("--seed", v);
+         o.seed = sim::parseUnsignedFlag("--seed", v);
      }},
     {"--serve", nullptr, kWorkloadFlags,
      "serving workload instead of training",
@@ -172,27 +156,28 @@ const FlagSpec kFlags[] = {
      "serving: total requests (default 256)",
      [](Options &o, const std::string &v) {
          o.serveRequests =
-             static_cast<int>(parseNumber("--requests", v));
+             static_cast<int>(sim::parseUnsignedFlag("--requests", v));
      }},
     {"--max-batch", "N", kWorkloadFlags,
      "serving: concurrent requests (32)",
      [](Options &o, const std::string &v) {
          o.serveMaxBatch =
-             static_cast<int>(parseNumber("--max-batch", v));
+             static_cast<int>(sim::parseUnsignedFlag("--max-batch", v));
      }},
 
     // Device and allocator
     {"--allocator", "A", kDeviceFlags,
-     "caching | gmlake | native | compacting | expandable | all",
+     "an allocator variant (e.g. caching, gmlake+offload(lru)) "
+     "or all",
      [](Options &o, const std::string &v) { o.allocator = v; }},
     {"--capacity", "GiB", kDeviceFlags, "device memory (default 80)",
      [](Options &o, const std::string &v) {
-         o.capacityGiB = parseNumber("--capacity", v);
+         o.capacityGiB = sim::parseUnsignedFlag("--capacity", v);
      }},
     {"--frag-limit", "MiB", kDeviceFlags,
      "GMLake fragmentation limit (default 2)",
      [](Options &o, const std::string &v) {
-         o.fragLimitMiB = parseNumber("--frag-limit", v);
+         o.fragLimitMiB = sim::parseUnsignedFlag("--frag-limit", v);
      }},
 
     // Output
@@ -279,29 +264,17 @@ printHelp()
         "registry):\n"
         "  list                print every registered scenario\n"
         "  run NAME [opts]     run one scenario ('all' runs every "
-        "one)\n"
-        "      --iterations N  override training iterations\n"
-        "      --capacity GiB  override device capacity\n"
-        "      --seed N        override the workload seed\n"
-        "      --threads N     worker threads for cluster scenarios\n"
-        "                      (0 = all cores; results identical)\n"
-        "      --csv [FILE]    append run records as CSV\n"
-        "      --json [FILE]   write report (BENCH_<name>.json)\n"
-        "      --out FILE      write the JSON report to FILE instead\n"
-        "                      of the fixed BENCH_<name>.json\n"
-        "      --timeline FILE record the run and write a\n"
-        "                      Chrome-trace/Perfetto timeline (open\n"
-        "                      in ui.perfetto.dev); results are\n"
-        "                      bit-identical with or without it\n"
-        "      --timeline-bin FILE\n"
-        "                      also write the columnar binary event\n"
-        "                      dump (.gmo)\n\n"
+        "one;\n"
+        "                      gmlake_sim run NAME --help lists the\n"
+        "                      options: scale overrides, --csv, --json,\n"
+        "                      --timeline, ...)\n\n"
+        "sweep, chaos and probe replay one registry row: SCENARIO is\n"
+        "a scenario with one row or SCENARIO/ROW (gmlake_sim list).\n\n"
         "Policy sweeps (checkpoint/restore warm-starts):\n"
         "  sweep SCENARIO [opts]\n"
         "                      replay the warmup prefix once, fork\n"
         "                      each policy point from the checkpoint\n"
-        "                      (smoke | train | colocate; see\n"
-        "                      gmlake_sim sweep --help)\n\n"
+        "                      (see gmlake_sim sweep --help)\n\n"
         "Chaos / fault-injection soaks:\n"
         "  chaos SCENARIO [opts]\n"
         "                      replay under a deterministic fault\n"
@@ -358,24 +331,23 @@ parsePlatform(const std::string &name)
     GMLAKE_FATAL("unknown platform: ", name);
 }
 
-std::vector<sim::AllocatorKind>
+std::vector<sim::AllocatorVariant>
 parseAllocators(const std::string &name)
 {
     if (name == "all") {
         // Every kind except native, which is ~10x slower end to end
         // and would dominate the run for no comparative value (ask
         // for it by name).
-        std::vector<sim::AllocatorKind> kinds;
+        std::vector<sim::AllocatorVariant> kinds;
         for (const auto kind : sim::allAllocatorKinds()) {
             if (kind != sim::AllocatorKind::native)
-                kinds.push_back(kind);
+                kinds.emplace_back(kind);
         }
         return kinds;
     }
-    // Single allocator names share the registry/test mapping.
-    if (const auto kind = sim::parseAllocatorKind(name))
-        return {*kind};
-    GMLAKE_FATAL("unknown allocator: ", name);
+    if (const auto variant = sim::parseAllocatorVariant(name))
+        return {*variant};
+    GMLAKE_FATAL("unknown allocator: ", name, " (try --help)");
 }
 
 int
@@ -472,20 +444,17 @@ saveTraceTo(const workload::Trace &trace, const std::string &path,
 }
 
 /**
- * The comparison loop every replaying verb shares: fresh device +
- * allocator per kind, one run via @p runOne, results tabulated (and
- * CSV-appended / snapshotted on request).
+ * The comparison loop every replaying trace verb shares: @p row
+ * (sessions and training config) on the CLI's device and GMLake
+ * knobs, replayed under each requested allocator, results tabulated
+ * (and CSV-appended / snapshotted on request).
  */
 int
-runAcrossAllocators(
-    const Options &opt, std::uint64_t servedTokens,
-    const std::function<sim::RunResult(alloc::Allocator &,
-                                       vmm::Device &)> &runOne)
+runAcrossAllocators(const Options &opt, std::uint64_t servedTokens,
+                    sim::RunSpec row)
 {
-    vmm::DeviceConfig deviceCfg;
-    deviceCfg.capacity = opt.capacityGiB * GiB;
-    core::GMLakeConfig gmlakeCfg;
-    gmlakeCfg.fragLimit = opt.fragLimitMiB * MiB;
+    row.device.capacity = opt.capacityGiB * GiB;
+    row.gmlake.fragLimit = opt.fragLimitMiB * MiB;
 
     Table table({"Allocator", "Utilization", "Peak active",
                  "Peak reserved", "Sim time", "Throughput"});
@@ -496,11 +465,15 @@ runAcrossAllocators(
             GMLAKE_FATAL("cannot open CSV: ", opt.csvPath);
     }
 
-    for (const auto kind : parseAllocators(opt.allocator)) {
-        vmm::Device device(deviceCfg);
-        const auto allocator =
-            sim::makeAllocator(kind, device, gmlakeCfg);
-        const auto r = runOne(*allocator, device);
+    for (const auto &variant : parseAllocators(opt.allocator)) {
+        sim::ReplayHooks hooks;
+        if (opt.snapshot) {
+            hooks.finish = [](vmm::Device &, alloc::Allocator &allocator,
+                              const sim::MultiRunResult &) {
+                std::cout << allocator.snapshot().summary();
+            };
+        }
+        const auto r = sim::replay(row, variant, hooks).combined;
 
         std::string throughput = "-";
         if (servedTokens > 0 && r.simTime > 0) {
@@ -524,11 +497,19 @@ runAcrossAllocators(
                 << r.peakActive << "," << r.peakReserved << ","
                 << r.simTime << "," << (r.oom ? 1 : 0) << "\n";
         }
-        if (opt.snapshot)
-            std::cout << allocator->snapshot().summary();
     }
     table.print(std::cout);
     return 0;
+}
+
+/** One session replaying @p trace (shared, built once). */
+sim::SessionSpec
+traceSession(std::string name, workload::Trace trace)
+{
+    return {std::move(name),
+            [shared = std::make_shared<const workload::Trace>(
+                 std::move(trace))] { return shared; },
+            nullptr, 0};
 }
 
 // -------------------------------------------------------- trace verbs
@@ -537,13 +518,12 @@ int
 doTraceRun(const Options &opt)
 {
     const auto cfg = makeTrainConfig(opt);
-    const auto built = buildWorkload(opt, cfg);
-    return runAcrossAllocators(
-        opt, built.servedTokens,
-        [&](alloc::Allocator &allocator, vmm::Device &device) {
-            return sim::runTrace(allocator, device, built.trace,
-                                 built.training ? &cfg : nullptr);
-        });
+    auto built = buildWorkload(opt, cfg);
+    sim::RunSpec row;
+    if (built.training)
+        row.train = cfg;
+    row.sessions.push_back(traceSession("main", std::move(built.trace)));
+    return runAcrossAllocators(opt, built.servedTokens, std::move(row));
 }
 
 int
@@ -558,6 +538,7 @@ doTraceRecord(const Options &opt, const std::string &outPath)
 int
 doTraceReplay(const Options &opt, const std::string &path)
 {
+    sim::RunSpec row;
     if (workload::looksLikeGmtFile(path)) {
         const auto file = workload::GmtFile::open(path);
         std::uint64_t events = 0;
@@ -567,39 +548,28 @@ doTraceReplay(const Options &opt, const std::string &path)
                   << file->sections().size() << " section"
                   << (file->sections().size() == 1 ? "" : "s")
                   << ", streamed) from " << path << "\n";
-        return runAcrossAllocators(
-            opt, 0,
-            [&](alloc::Allocator &allocator, vmm::Device &device) {
-                if (file->sections().size() == 1) {
-                    return sim::runSource(
-                        allocator, device,
-                        std::make_unique<
-                            workload::BinaryTraceSource>(file, 0));
-                }
-                // Multi-section files replay as co-located tenants.
-                sim::SimEngine engine(allocator, device);
-                for (std::size_t i = 0; i < file->sections().size();
-                     ++i) {
-                    engine.addSession(sim::Session(
-                        file->sections()[i].name,
-                        std::make_unique<
-                            workload::BinaryTraceSource>(file, i)));
-                }
-                return engine.run().combined;
-            });
+        // Multi-section files replay as co-located tenants.
+        const bool single = file->sections().size() == 1;
+        for (std::size_t i = 0; i < file->sections().size(); ++i) {
+            row.sessions.push_back(sim::SessionSpec{
+                single ? "main" : file->sections()[i].name, nullptr,
+                [file, i] {
+                    return std::make_shared<
+                        workload::BinaryTraceSource>(file, i);
+                },
+                0});
+        }
+        return runAcrossAllocators(opt, 0, std::move(row));
     }
 
     std::ifstream in(path);
     if (!in)
         GMLAKE_FATAL("cannot open trace: ", path);
-    const workload::Trace trace = workload::Trace::load(in);
+    workload::Trace trace = workload::Trace::load(in);
     std::cout << "replaying " << trace.size() << " events from "
               << path << "\n";
-    return runAcrossAllocators(
-        opt, 0,
-        [&](alloc::Allocator &allocator, vmm::Device &device) {
-            return sim::runTrace(allocator, device, trace);
-        });
+    row.sessions.push_back(traceSession("main", std::move(trace)));
+    return runAcrossAllocators(opt, 0, std::move(row));
 }
 
 int
@@ -676,9 +646,12 @@ doTraceInfo(const std::string &path)
 int
 cmdList()
 {
-    Table table({"Name", "Kind", "Title"});
-    for (const auto &e : sim::allExperiments())
-        table.addRow({e.name, e.kind, e.title});
+    Table table({"Name", "Kind", "Rows", "Title"});
+    for (const auto &e : sim::allExperiments()) {
+        table.addRow({e.name, e.kind,
+                      e.rows ? std::to_string(e.rows({}).size()) : "-",
+                      e.title});
+    }
     table.print(std::cout);
     std::cout << "\nrun one with: gmlake_sim run <name> "
                  "[--iterations N] [--threads N] [--csv] "
@@ -794,22 +767,6 @@ cmdTrace(int argc, char **argv)
 
 // -------------------------------------------------------- sweep verb
 
-/** `gmlake_sim sweep` options (separate from the trace table). */
-struct SweepCliOptions
-{
-    std::string scenario;
-    std::string allocator = "gmlake";
-    std::string gridSpec;
-    std::size_t randomPoints = 0;
-    std::size_t threads = 1;
-    std::uint64_t seed = 42;
-    int iterations = 0; //!< 0 = scenario default
-    Bytes capacityGiB = 0;
-    bool cold = false;
-    std::string outPath;
-    bool help = false;
-};
-
 std::vector<std::string>
 splitOn(const std::string &s, char sep)
 {
@@ -825,19 +782,6 @@ splitOn(const std::string &s, char sep)
         begin = end + 1;
     }
     return parts;
-}
-
-double
-parseReal(const char *what, const std::string &value)
-{
-    try {
-        std::size_t consumed = 0;
-        const double parsed = std::stod(value, &consumed);
-        if (consumed == value.size())
-            return parsed;
-    } catch (const std::exception &) {
-    }
-    GMLAKE_FATAL(what, ": bad real number '", value, "'");
 }
 
 /**
@@ -865,17 +809,17 @@ parseGridSpec(const std::string &spec)
         for (const std::string &value : values) {
             if (key == "frag") {
                 grid.fragLimits.push_back(
-                    parseNumber("frag", value) * MiB);
+                    sim::parseUnsignedFlag("frag", value) * MiB);
             } else if (key == "tol") {
                 grid.nearMatchTolerances.push_back(
-                    parseReal("tol", value));
+                    sim::parseRealFlag("tol", value));
             } else if (key == "sblocks") {
                 grid.maxCachedSBlocks.push_back(
                     static_cast<std::size_t>(
-                        parseNumber("sblocks", value)));
+                        sim::parseUnsignedFlag("sblocks", value)));
             } else if (key == "overscribe") {
                 grid.maxVaOverscribes.push_back(
-                    parseReal("overscribe", value));
+                    sim::parseRealFlag("overscribe", value));
             } else if (key == "stitch") {
                 if (value != "on" && value != "off")
                     GMLAKE_FATAL("sweep grid axis stitch: expected "
@@ -891,145 +835,104 @@ parseGridSpec(const std::string &spec)
     return grid;
 }
 
-SweepCliOptions
-parseSweepFlags(int argc, char **argv)
+/** A row reference as one file-name component ('/', ' ' -> '_'). */
+std::string
+fileNameSafe(std::string name)
 {
-    SweepCliOptions opt;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&]() -> std::string {
-            if (i + 1 >= argc)
-                GMLAKE_FATAL("flag ", arg, " needs a value");
-            return argv[++i];
-        };
-        if (arg == "--help" || arg == "-h")
-            opt.help = true;
-        else if (arg == "--allocator")
-            opt.allocator = value();
-        else if (arg == "--grid")
-            opt.gridSpec = value();
-        else if (arg == "--points")
-            opt.randomPoints = static_cast<std::size_t>(
-                parseNumber("--points", value()));
-        else if (arg == "--threads")
-            opt.threads = static_cast<std::size_t>(
-                parseNumber("--threads", value()));
-        else if (arg == "--seed")
-            opt.seed = parseNumber("--seed", value());
-        else if (arg == "--iterations")
-            opt.iterations = static_cast<int>(
-                parseNumber("--iterations", value()));
-        else if (arg == "--capacity")
-            opt.capacityGiB = parseNumber("--capacity", value());
-        else if (arg == "--cold")
-            opt.cold = true;
-        else if (arg == "--out")
-            opt.outPath = value();
-        else if (!arg.empty() && arg[0] == '-')
-            GMLAKE_FATAL("unknown sweep flag: ", arg,
-                         " (try --help)");
-        else if (opt.scenario.empty())
-            opt.scenario = arg;
-        else
-            GMLAKE_FATAL("unexpected argument: ", arg);
-    }
-    return opt;
+    std::replace(name.begin(), name.end(), '/', '_');
+    std::replace(name.begin(), name.end(), ' ', '_');
+    return name;
 }
+
+const char *const kRowHelp =
+    "  SCENARIO is a registry scenario with one row, or SCENARIO/ROW\n"
+    "  (gmlake_sim list; an unknown name lists the choices)\n";
 
 int
 cmdSweep(int argc, char **argv)
 {
-    const SweepCliOptions opt = parseSweepFlags(argc, argv);
-    if (opt.help || opt.scenario.empty()) {
+    sim::ExperimentOptions options;
+    sim::AllocatorVariant allocator;
+    bool help = false;
+    std::string gridSpec;
+    std::size_t randomPoints = 0;
+    bool cold = false;
+    std::string outPath;
+    const std::string scenario = sim::parseRowArgs(
+        {argv + 2, argv + argc}, options, allocator, help,
+        [&](const std::string &arg, const sim::FlagValue &value) {
+            if (arg == "--grid")
+                gridSpec = value();
+            else if (arg == "--points")
+                randomPoints = static_cast<std::size_t>(
+                    sim::parseUnsignedFlag("--points", value()));
+            else if (arg == "--threads")
+                options.threads = static_cast<int>(
+                    sim::parseUnsignedFlag("--threads", value(), 4096));
+            else if (arg == "--cold")
+                cold = true;
+            else if (arg == "--out")
+                outPath = value();
+            else
+                return false;
+            return true;
+        });
+    if (help || scenario.empty()) {
         std::cerr <<
             "usage: gmlake_sim sweep <scenario> [options]\n"
-            "  scenarios: smoke | train | colocate\n"
-            "  --allocator A       allocator kind (default gmlake)\n"
-            "  --grid SPEC         frag=2,16;tol=0,0.125;"
+            << kRowHelp << sim::scenarioFlagsHelp(true) <<
+            "  --grid SPEC      frag=2,16;tol=0,0.125;"
             "sblocks=4096;overscribe=4,8;stitch=on,off\n"
-            "                      (frag in MiB; omitted axes keep "
+            "                   (frag in MiB; omitted axes keep "
             "the base value)\n"
-            "  --points N          random search with N points "
+            "  --points N       random search with N points "
             "instead of a grid\n"
-            "  --threads N         per-point fork threads "
+            "  --threads N      per-point fork threads "
             "(0 = all cores; results identical)\n"
-            "  --seed N            workload seed (default 42)\n"
-            "  --iterations N      scenario scale override\n"
-            "  --capacity GiB      device capacity override\n"
-            "  --cold              re-replay the warmup per point "
+            "  --cold           re-replay the warmup per point "
             "(baseline; same results)\n"
-            "  --out FILE          report path (default "
+            "  --out FILE       report path (default "
             "BENCH_sweep_<scenario>.json)\n";
-        return opt.help ? 0 : 1;
+        return help ? 0 : 1;
     }
-    if (!opt.gridSpec.empty() && opt.randomPoints > 0)
+    if (!gridSpec.empty() && randomPoints > 0)
         GMLAKE_FATAL("--grid and --points are mutually exclusive");
+    if (allocator.offload)
+        GMLAKE_FATAL("sweep cannot checkpoint a host-offload tier; "
+                     "pick an allocator without +offload");
 
-    const auto kind = sim::parseAllocatorKind(opt.allocator);
-    if (!kind)
-        GMLAKE_FATAL("unknown allocator: ", opt.allocator);
-
-    sim::SweepScenario scenario = sim::buildSweepScenario(
-        opt.scenario, opt.seed, opt.iterations);
-    if (opt.capacityGiB != 0)
-        scenario.device.capacity = opt.capacityGiB * GiB;
-
+    const sim::RunSpec row = sim::findRow(scenario, options);
     std::vector<sim::SweepPoint> points;
-    if (opt.randomPoints > 0) {
-        points = sim::randomSweepPoints(scenario.base,
-                                        opt.randomPoints, opt.seed);
-    } else if (!opt.gridSpec.empty()) {
-        points = parseGridSpec(opt.gridSpec).expand(scenario.base);
+    if (randomPoints > 0) {
+        points = sim::randomSweepPoints(row.gmlake, randomPoints,
+                                        row.seed);
+    } else if (!gridSpec.empty()) {
+        points = parseGridSpec(gridSpec).expand(row.gmlake);
     } else {
-        sim::SweepGrid grid;
-        grid.fragLimits = {2_MiB, 16_MiB};
-        grid.nearMatchTolerances = {0.0, 0.125};
-        grid.enableStitching = {true, false};
-        points = grid.expand(scenario.base);
+        points = sim::defaultSweepGrid().expand(row.gmlake);
     }
 
-    sim::SweepRunOptions options;
-    options.kind = *kind;
-    options.threads = opt.threads;
-    options.warmStart = !opt.cold;
+    sim::SweepRunOptions sweepOptions;
+    sweepOptions.kind = allocator.kind;
+    sweepOptions.threads =
+        static_cast<std::size_t>(options.threadCount());
+    sweepOptions.warmStart = !cold;
+    sim::SweepReport report = sim::runSweep(row, points, sweepOptions);
+    report.scenario = scenario;
 
-    std::cout << "sweep " << opt.scenario << ": " << points.size()
-              << " points, " << (opt.cold ? "cold" : "warm-start")
-              << ", split at " << formatTime(scenario.splitTime)
-              << "\n";
-    const sim::SweepReport report =
-        sim::runSweep(scenario, points, options);
+    std::cout << "sweep " << scenario << ": " << points.size()
+              << " points, " << (cold ? "cold" : "warm-start")
+              << ", split at " << formatTime(report.splitTime) << "\n";
+    sim::printSweepTable(report, std::cout);
 
-    Table table({"Point", "Frag", "Peak reserved", "Dev API",
-                 "Sim time", "Wall", "Pareto"});
-    for (const sim::SweepPointRecord &rec : report.points) {
-        table.addRow(
-            {rec.point.label,
-             rec.tail.oom ? "OOM"
-                          : formatPercent(rec.tail.fragmentation),
-             formatBytes(rec.tail.peakReserved),
-             formatTime(rec.tail.deviceApiTime),
-             formatTime(rec.tail.simTime),
-             formatTime(rec.pointWallNs),
-             rec.onFrontier ? "*" : ""});
-    }
-    table.print(std::cout);
-    std::cout << "warmup " << formatTime(report.warmupWallNs)
-              << ", total " << formatTime(report.totalWallNs)
-              << " (" << report.frontier().size()
-              << " Pareto point"
-              << (report.frontier().size() == 1 ? "" : "s") << ")\n";
-
-    const std::string outPath =
-        opt.outPath.empty() ? "BENCH_sweep_" + opt.scenario + ".json"
-                            : opt.outPath;
+    if (outPath.empty())
+        outPath = "BENCH_sweep_" + fileNameSafe(scenario) + ".json";
     sim::SweepJsonMeta meta;
-    meta.seed = opt.seed;
-    meta.iterations = opt.iterations;
-    meta.deviceCapacityBytes = opt.capacityGiB * GiB;
-    meta.threads = opt.threads;
-    meta.warmStart = !opt.cold;
-    meta.splitTimeNs = scenario.splitTime;
+    meta.seed = row.seed;
+    meta.iterations = options.iterations;
+    meta.deviceCapacityBytes = options.deviceCapacity;
+    meta.threads = static_cast<std::size_t>(options.threads);
+    meta.warmStart = !cold;
     sim::writeSweepJson(report, meta, outPath);
     std::cout << "(report written to " << outPath << ")\n";
     return 0;
@@ -1037,115 +940,43 @@ cmdSweep(int argc, char **argv)
 
 // -------------------------------------------------------- chaos verb
 
-/** `gmlake_sim chaos` options. */
-struct ChaosCliOptions
-{
-    std::string scenario;
-    std::string allocator = "gmlake";
-    std::string faultSpec;
-    std::uint64_t faultSeed = 1;
-    std::uint64_t seed = 42; //!< workload seed
-    std::size_t soak = 1;
-    int iterations = 0;
-    double killChance = 0.25;
-    std::string outPath;
-    bool help = false;
-};
-
-ChaosCliOptions
-parseChaosFlags(int argc, char **argv)
-{
-    ChaosCliOptions opt;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&]() -> std::string {
-            if (i + 1 >= argc)
-                GMLAKE_FATAL("flag ", arg, " needs a value");
-            return argv[++i];
-        };
-        if (arg == "--help" || arg == "-h")
-            opt.help = true;
-        else if (arg == "--allocator")
-            opt.allocator = value();
-        else if (arg == "--faults")
-            opt.faultSpec = value();
-        else if (arg == "--fault-seed")
-            opt.faultSeed = parseNumber("--fault-seed", value());
-        else if (arg == "--seed")
-            opt.seed = parseNumber("--seed", value());
-        else if (arg == "--soak")
-            opt.soak = static_cast<std::size_t>(
-                parseNumber("--soak", value()));
-        else if (arg == "--iterations")
-            opt.iterations = static_cast<int>(
-                parseNumber("--iterations", value()));
-        else if (arg == "--kill-chance")
-            opt.killChance = parseReal("--kill-chance", value());
-        else if (arg == "--out")
-            opt.outPath = value();
-        else if (!arg.empty() && arg[0] == '-')
-            GMLAKE_FATAL("unknown chaos flag: ", arg,
-                         " (try --help)");
-        else if (opt.scenario.empty())
-            opt.scenario = arg;
-        else
-            GMLAKE_FATAL("unexpected argument: ", arg);
-    }
-    return opt;
-}
-
 int
 cmdChaos(int argc, char **argv)
 {
-    const ChaosCliOptions opt = parseChaosFlags(argc, argv);
-    if (opt.help || opt.scenario.empty()) {
+    sim::ChaosArgs args =
+        sim::parseChaosArgs({argv + 2, argv + argc});
+    const sim::ChaosOptions &options = args.options;
+    if (args.help || options.scenario.empty()) {
         std::cerr <<
             "usage: gmlake_sim chaos <scenario> [options]\n"
-            "  scenarios: smoke | train | colocate\n"
-            "  --faults SPEC       fault plan, e.g. "
+            << kRowHelp << sim::scenarioFlagsHelp(true) <<
+            "  --faults SPEC    fault plan, e.g. "
             "create:p=0.02;map:n=5;cap:t=1000000,b=2G\n"
-            "                      (apis: create map mapbatch "
+            "                   (apis: create map mapbatch "
             "setaccess copyd2h copyh2d cap)\n"
-            "  --fault-seed N      fault/kill RNG seed (default 1)\n"
-            "  --soak K            randomized trials; trial k uses\n"
-            "                      a seed derived from --fault-seed\n"
-            "                      and printed for replay\n"
-            "  --kill-chance P     per-tenant scripted-kill "
+            "  --fault-seed N   fault/kill RNG seed (default 1)\n"
+            "  --soak K         randomized trials; trial k uses\n"
+            "                   a seed derived from --fault-seed;\n"
+            "                   a failing trial prints its replay line\n"
+            "  --kill-chance P  per-tenant scripted-kill "
             "probability (default 0.25)\n"
-            "  --allocator A       allocator kind (default gmlake)\n"
-            "  --seed N            workload seed (default 42)\n"
-            "  --iterations N      scenario scale override\n"
-            "  --out FILE          report path (default "
+            "  --out FILE       report path (default "
             "BENCH_chaos_<scenario>.json)\n"
             "exit codes: 0 clean, 2 tenant OOM, 3 injected-fault "
             "abort, 1 internal error\n";
-        return opt.help ? 0 : 1;
+        return args.help ? 0 : 1;
     }
-    const auto kind = sim::parseAllocatorKind(opt.allocator);
-    if (!kind)
-        GMLAKE_FATAL("unknown allocator: ", opt.allocator);
-    if (opt.soak == 0)
-        GMLAKE_FATAL("--soak needs at least 1 trial");
-    if (opt.killChance < 0.0 || opt.killChance > 1.0)
-        GMLAKE_FATAL("--kill-chance needs a probability in [0, 1]");
+    // A bad row name or fault spec fails here, before any output.
+    (void)sim::findRow(options.scenario, options.overrides);
+    std::string plan;
+    if (!options.faultSpec.empty())
+        plan = vmm::FaultPlan::parse(options.faultSpec).describe();
 
-    sim::ChaosOptions options;
-    options.scenario = opt.scenario;
-    options.kind = *kind;
-    options.workloadSeed = opt.seed;
-    options.faultSeed = opt.faultSeed;
-    options.faultSpec = opt.faultSpec;
-    options.trials = opt.soak;
-    options.iterations = opt.iterations;
-    options.killChance = opt.killChance;
-
-    std::cout << "chaos " << opt.scenario << ": " << opt.soak
-              << " trial" << (opt.soak == 1 ? "" : "s")
-              << ", fault seed " << opt.faultSeed;
-    if (!opt.faultSpec.empty()) {
-        std::cout << ", plan "
-                  << vmm::FaultPlan::parse(opt.faultSpec).describe();
-    }
+    std::cout << "chaos " << options.scenario << ": " << options.trials
+              << " trial" << (options.trials == 1 ? "" : "s")
+              << ", fault seed " << options.faultSeed;
+    if (!plan.empty())
+        std::cout << ", plan " << plan;
     std::cout << "\n";
 
     const sim::ChaosReport report = sim::runChaos(options);
@@ -1154,8 +985,6 @@ cmdChaos(int argc, char **argv)
                  "Rollbacks", "Aborted", "OOM", "Lost", "Audit"});
     for (std::size_t k = 0; k < report.trials.size(); ++k) {
         const sim::ChaosTrialRecord &t = report.trials[k];
-        // The per-trial seed line is the replay handle:
-        //   gmlake_sim chaos <scenario> --fault-seed <seed> --soak 1
         table.addRow({std::to_string(k), std::to_string(t.faultSeed),
                       std::to_string(t.result.injectedFaults),
                       std::to_string(t.result.recovered),
@@ -1170,12 +999,8 @@ cmdChaos(int argc, char **argv)
         if (!t.auditPassed)
             std::cout << "trial with fault seed " << t.faultSeed
                       << " FAILED: " << t.error << "\n"
-                      << "  replay: gmlake_sim chaos " << opt.scenario
-                      << " --fault-seed " << t.faultSeed
-                      << " --soak 1"
-                      << (opt.faultSpec.empty()
-                              ? std::string()
-                              : " --faults '" + opt.faultSpec + "'")
+                      << "  replay: "
+                      << sim::chaosReplayLine(options, t.faultSeed)
                       << "\n";
     }
     std::cout << report.trials.size() << " trial"
@@ -1184,12 +1009,12 @@ cmdChaos(int argc, char **argv)
               << (report.failures() == 1 ? "" : "s") << ", total "
               << formatTime(report.totalWallNs) << "\n";
 
-    const std::string outPath =
-        opt.outPath.empty() ? "BENCH_chaos_" + opt.scenario + ".json"
-                            : opt.outPath;
-    sim::writeChaosJson(report, options, outPath);
-    std::cout << "(report written to " << outPath << ", exit code "
-              << report.exitCode() << ")\n";
+    if (args.outPath.empty())
+        args.outPath = "BENCH_chaos_" +
+                       fileNameSafe(options.scenario) + ".json";
+    sim::writeChaosJson(report, options, args.outPath);
+    std::cout << "(report written to " << args.outPath
+              << ", exit code " << report.exitCode() << ")\n";
     return report.exitCode();
 }
 
@@ -1203,70 +1028,43 @@ int
 cmdProbe(int argc, char **argv)
 {
     sim::ProbeOptions opt;
-    std::string allocator = "gmlake";
-    std::string scenario;
     bool help = false;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&]() -> std::string {
-            if (i + 1 >= argc)
-                GMLAKE_FATAL("flag ", arg, " needs a value");
-            return argv[++i];
-        };
-        if (arg == "--help" || arg == "-h")
-            help = true;
-        else if (arg == "--allocator")
-            allocator = value();
-        else if (arg == "--seed")
-            opt.seed = parseNumber("--seed", value());
-        else if (arg == "--iterations")
-            opt.iterations = static_cast<int>(
-                parseNumber("--iterations", value()));
-        else if (arg == "--tensor")
-            opt.tensor = parseNumber("--tensor", value());
-        else if (arg == "--at")
-            opt.atTick = parseNumber("--at", value());
-        else if (arg == "--timeline")
-            opt.timelinePath = value();
-        else if (arg == "--top")
-            opt.topAllocs = static_cast<std::size_t>(
-                parseNumber("--top", value()));
-        else if (!arg.empty() && arg[0] == '-')
-            GMLAKE_FATAL("unknown probe flag: ", arg,
-                         " (try --help)");
-        else if (scenario.empty())
-            scenario = arg;
-        else
-            GMLAKE_FATAL("unexpected argument: ", arg);
-    }
-    if (help || scenario.empty()) {
+    opt.scenario = sim::parseRowArgs(
+        {argv + 2, argv + argc}, opt.overrides, opt.allocator, help,
+        [&](const std::string &arg, const sim::FlagValue &value) {
+            if (arg == "--tensor")
+                opt.tensor = sim::parseUnsignedFlag("--tensor", value());
+            else if (arg == "--at")
+                opt.atTick = sim::parseUnsignedFlag("--at", value());
+            else if (arg == "--timeline")
+                opt.timelinePath = value();
+            else if (arg == "--top")
+                opt.topAllocs = static_cast<std::size_t>(
+                    sim::parseUnsignedFlag("--top", value()));
+            else
+                return false;
+            return true;
+        });
+    if (help || opt.scenario.empty()) {
         std::cerr <<
             "usage: gmlake_sim probe <scenario> [options]\n"
-            "  scenarios: smoke | train | colocate\n"
-            "  --tensor T          which allocations backed tensor "
+            << kRowHelp << sim::scenarioFlagsHelp(true) <<
+            "  --tensor T       which allocations backed tensor "
             "T, which pBlocks\n"
-            "                      back each, how they were obtained "
+            "                   back each, how they were obtained "
             "(fresh / reuse /\n"
-            "                      stitch / post-spill), and the "
+            "                   stitch / post-spill), and the "
             "device time charged\n"
-            "  --at TICK           every tensor live at simulated "
+            "  --at TICK        every tensor live at simulated "
             "time TICK, with\n"
-            "                      the same provenance per binding\n"
-            "  --allocator A       allocator kind (default gmlake)\n"
-            "  --seed N            workload seed (default 42)\n"
-            "  --iterations N      scenario scale override\n"
-            "  --timeline FILE     also export the recorded timeline "
+            "                   the same provenance per binding\n"
+            "  --timeline FILE  also export the recorded timeline "
             "(Chrome JSON)\n"
-            "  --top N             summary lists the top-N "
+            "  --top N          summary lists the top-N "
             "allocations (default 5)\n"
             "(no selector prints the ledger summary)\n";
         return help ? 0 : 1;
     }
-    const auto kind = sim::parseAllocatorKind(allocator);
-    if (!kind)
-        GMLAKE_FATAL("unknown allocator: ", allocator);
-    opt.kind = *kind;
-    opt.scenario = scenario;
     if (opt.tensor && opt.atTick)
         GMLAKE_FATAL("--tensor and --at are mutually exclusive");
     sim::runProbe(opt, std::cout);
