@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <memory>
+#include <ranges>
+#include <span>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
@@ -48,6 +51,58 @@ GMLakeAllocator::syncSmallPathStats()
     else if (cur < mSmallReservedSeen)
         mStats.onRelease(mSmallReservedSeen - cur);
     mSmallReservedSeen = cur;
+}
+
+// --------------------------------------------------------------------
+// VA mapping helpers
+// --------------------------------------------------------------------
+
+template <typename Chunks>
+Status
+GMLakeAllocator::mapChunks(VirtAddr va, Bytes size, const Chunks &chunks)
+{
+    // One batched driver call: the cost model still charges per
+    // chunk, but the mapping table validates once and splices one
+    // extent instead of per-chunk tree inserts.
+    mMapBatch.clear();
+    VirtAddr at = va;
+    for (const PhysHandle h : chunks) {
+        mMapBatch.emplace_back(at, h);
+        at += mConfig.chunkSize;
+    }
+    if (const Status s = mDevice.memMapBatch(mMapBatch); !s.ok())
+        return s; // atomic: nothing was installed
+    const Status acc = mDevice.memSetAccess(va, size);
+    if (!acc.ok()) {
+        const Status undo = mDevice.memUnmap(va, size);
+        GMLAKE_ASSERT(undo.ok(), "rollback unmap failed");
+    }
+    return acc;
+}
+
+template <typename Chunks>
+Expected<VirtAddr>
+GMLakeAllocator::mapFresh(Bytes size, const Chunks &chunks)
+{
+    const auto va = mDevice.memAddressReserve(size);
+    if (!va.ok())
+        return va.error();
+    if (const Status s = mapChunks(*va, size, chunks); !s.ok()) {
+        const Status freed = mDevice.memAddressFree(*va);
+        GMLAKE_ASSERT(freed.ok(), "rollback addressFree failed");
+        noteRollback();
+        return s.error();
+    }
+    return *va;
+}
+
+void
+GMLakeAllocator::unmapAndFree(VirtAddr va, Bytes size)
+{
+    Status s = mDevice.memUnmap(va, size);
+    GMLAKE_ASSERT(s.ok(), "unmap failed");
+    s = mDevice.memAddressFree(va);
+    GMLAKE_ASSERT(s.ok(), "addressFree failed");
 }
 
 // --------------------------------------------------------------------
@@ -136,10 +191,8 @@ GMLakeAllocator::allocPBlock(Bytes size, StreamId stream)
 void
 GMLakeAllocator::releasePBlock(PBlock *block)
 {
-    GMLAKE_ASSERT(!block->active, "release of an active pBlock");
-    // Destroy any sBlock still referencing this block first.
-    while (!block->sharers.empty())
-        destroySBlock(block->sharers.back());
+    GMLAKE_ASSERT(!block->active && block->sharers.empty(),
+                  "release of an active or stitched pBlock");
 
     if (block->resident) {
         Status s = mDevice.memUnmap(block->va, block->size);
@@ -181,52 +234,22 @@ GMLakeAllocator::splitPBlock(PBlock *block, Bytes sizeA)
     const Bytes sizeB = block->size - sizeA;
     const std::size_t chunksA = sizeA / mConfig.chunkSize;
 
-    // Remap a chunk subrange of the original under a fresh VA with
-    // one batched driver call (simulated cost unchanged: charged
-    // per chunk).
+    // Remap a chunk subrange of the original under a fresh VA. On
+    // failure the original block's own mapping is still intact.
     auto makeHalf = [&](std::size_t chunkOffset,
                         std::size_t chunkCount,
                         Bytes size) -> Expected<PBlock *> {
-        const auto va = mDevice.memAddressReserve(size);
+        const std::span<const PhysHandle> chunks(
+            block->chunks.data() + chunkOffset, chunkCount);
+        const auto va = mapFresh(size, chunks);
         if (!va.ok())
             return va.error();
-        mMapBatch.clear();
-        for (std::size_t i = 0; i < chunkCount; ++i) {
-            mMapBatch.emplace_back(
-                *va + static_cast<VirtAddr>(i) * mConfig.chunkSize,
-                block->chunks[chunkOffset + i]);
-        }
-        const Status s = mDevice.memMapBatch(mMapBatch);
-        if (!s.ok()) {
-            // memMapBatch is atomic on error: nothing was installed,
-            // so only the fresh reservation needs undoing. The
-            // original block's own mapping is still fully intact.
-            const Status freed = mDevice.memAddressFree(*va);
-            GMLAKE_ASSERT(freed.ok(),
-                          "split rollback addressFree failed");
-            noteRollback();
-            return s.error();
-        }
-        const Status acc = mDevice.memSetAccess(*va, size);
-        if (!acc.ok()) {
-            Status undo = mDevice.memUnmap(*va, size);
-            GMLAKE_ASSERT(undo.ok(), "split rollback unmap failed");
-            undo = mDevice.memAddressFree(*va);
-            GMLAKE_ASSERT(undo.ok(),
-                          "split rollback addressFree failed");
-            noteRollback();
-            return acc.error();
-        }
 
         PBlock *half = mPPool.acquire();
         half->id = mNextBlockId++;
         half->va = *va;
         half->size = size;
-        half->chunks.assign(
-            block->chunks.begin() +
-                static_cast<std::ptrdiff_t>(chunkOffset),
-            block->chunks.begin() +
-                static_cast<std::ptrdiff_t>(chunkOffset + chunkCount));
+        half->chunks.assign(chunks.begin(), chunks.end());
         half->active = false;
         half->resident = true;
         half->lastUse = mDevice.now();
@@ -245,10 +268,7 @@ GMLakeAllocator::splitPBlock(PBlock *block, Bytes sizeA)
         // VA exhaustion or an injected fault; undo half A so the
         // original block survives the failed attempt untouched.
         PBlock *a = *halfA;
-        Status s = mDevice.memUnmap(a->va, a->size);
-        GMLAKE_ASSERT(s.ok(), "split rollback unmap failed");
-        s = mDevice.memAddressFree(a->va);
-        GMLAKE_ASSERT(s.ok(), "split rollback addressFree failed");
+        unmapAndFree(a->va, a->size);
         eraseInactiveP(a);
         mPPool.release(a);
         noteRollback();
@@ -258,10 +278,7 @@ GMLakeAllocator::splitPBlock(PBlock *block, Bytes sizeA)
     // Retire the original block: its VA goes away, the chunks live on
     // in the two halves. Physical accounting is unchanged.
     const std::uint64_t originalId = block->id;
-    Status s = mDevice.memUnmap(block->va, block->size);
-    GMLAKE_ASSERT(s.ok(), "split retire unmap failed");
-    s = mDevice.memAddressFree(block->va);
-    GMLAKE_ASSERT(s.ok(), "split retire addressFree failed");
+    unmapAndFree(block->va, block->size);
     eraseInactiveP(block);
     mPPool.release(block);
 
@@ -305,45 +322,20 @@ GMLakeAllocator::stitch(const std::vector<PBlock *> &members,
         total += m->size;
     }
 
-    const auto va = mDevice.memAddressReserve(total);
+    // Map every member's chunks back-to-back under a new VA: the
+    // sBlock never creates physical chunks (paper Section 3.3.1). On
+    // failure nothing was mutated, so the pools are exactly as they
+    // were before the attempt.
+    const auto va = mapFresh(
+        total, members |
+                   std::views::transform(
+                       [](const PBlock *m)
+                           -> const std::vector<PhysHandle> & {
+                           return m->chunks;
+                       }) |
+                   std::views::join);
     if (!va.ok())
         return va.error();
-
-    // Map every member's chunks back-to-back under the new VA with
-    // one batched driver call: the cost model still charges per
-    // chunk, but the mapping table validates once and splices one
-    // extent instead of per-chunk tree inserts. The sBlock never
-    // creates physical chunks (paper Section 3.3.1).
-    mMapBatch.clear();
-    VirtAddr cursor = *va;
-    for (const PBlock *m : members) {
-        for (PhysHandle h : m->chunks) {
-            mMapBatch.emplace_back(cursor, h);
-            cursor += mConfig.chunkSize;
-        }
-    }
-    const Status mapped = mDevice.memMapBatch(mMapBatch);
-    if (!mapped.ok()) {
-        // Atomic batch: no mapping was installed. Undo the fresh VA
-        // reservation and stop — members, their own mappings, and
-        // the sharer indices are only mutated after success below,
-        // so the pools are exactly as they were before the attempt.
-        const Status freed = mDevice.memAddressFree(*va);
-        GMLAKE_ASSERT(freed.ok(),
-                      "stitch rollback addressFree failed");
-        noteRollback();
-        return mapped.error();
-    }
-    const Status acc = mDevice.memSetAccess(*va, total);
-    if (!acc.ok()) {
-        Status undo = mDevice.memUnmap(*va, total);
-        GMLAKE_ASSERT(undo.ok(), "stitch rollback unmap failed");
-        undo = mDevice.memAddressFree(*va);
-        GMLAKE_ASSERT(undo.ok(),
-                      "stitch rollback addressFree failed");
-        noteRollback();
-        return acc.error();
-    }
 
     SBlock *sblock = mSPool.acquire();
     sblock->id = mNextBlockId++;
@@ -390,10 +382,18 @@ void
 GMLakeAllocator::destroySBlock(SBlock *sblock)
 {
     GMLAKE_ASSERT(!sblock->active, "destroy of an active sBlock");
-    Status s = mDevice.memUnmap(sblock->va, sblock->size);
-    GMLAKE_ASSERT(s.ok(), "sBlock unmap failed");
-    s = mDevice.memAddressFree(sblock->va);
-    GMLAKE_ASSERT(s.ok(), "sBlock addressFree failed");
+    // Spilled members' ranges are unmapped already. One call unmaps
+    // whatever the holes left, but the device refuses a range with
+    // nothing mapped, so a fully spilled sBlock only frees its VA.
+    const bool mapped =
+        std::any_of(sblock->members.begin(), sblock->members.end(),
+                    [](const PBlock *m) { return m->resident; });
+    if (mapped) {
+        unmapAndFree(sblock->va, sblock->size);
+    } else {
+        const Status s = mDevice.memAddressFree(sblock->va);
+        GMLAKE_ASSERT(s.ok(), "sBlock addressFree failed");
+    }
 
     for (PBlock *m : sblock->members) {
         m->dropSharer(sblock);
@@ -504,6 +504,14 @@ GMLakeAllocator::ensureResident(PBlock *block)
     if (block->resident)
         return Status::success();
     const std::size_t chunkCount = block->size / mConfig.chunkSize;
+    // Roll back: the block ends exactly as spilled as it started.
+    const auto unwind = [&](Status why) {
+        const Status rel = mDevice.memReleaseBatch(block->chunks);
+        GMLAKE_ASSERT(rel.ok(), "fault-in rollback failed");
+        block->chunks.clear();
+        noteRollback();
+        return why;
+    };
     // Create the chunks in batches; a failed chunk gets one reclaim
     // and one retry before the fault-in gives up, as it would in a
     // loop of single creates.
@@ -523,69 +531,29 @@ GMLakeAllocator::ensureResident(PBlock *block)
                                                  block->chunks);
             }
         }
-        if (!created.ok()) {
-            // Roll back: the block stays cleanly spilled.
-            const Status rel = mDevice.memReleaseBatch(block->chunks);
-            GMLAKE_ASSERT(rel.ok(), "fault-in rollback failed");
-            block->chunks.clear();
-            noteRollback();
-            return created;
-        }
+        if (!created.ok())
+            return unwind(created);
     }
 
-    // Remap under the block's own VA and every sharer VA. The
-    // stitched structures were never torn down, so this is the
+    // Remap under the block's own VA (target 0) and every sharer VA.
+    // The stitched structures were never torn down, so this is the
     // "no data-copy for re-stitch" path: mapping cost only.
-    auto remapAt = [&](VirtAddr base) -> Status {
-        mMapBatch.clear();
-        for (std::size_t i = 0; i < chunkCount; ++i) {
-            mMapBatch.emplace_back(
-                base + static_cast<VirtAddr>(i) * mConfig.chunkSize,
-                block->chunks[i]);
-        }
-        const Status s = mDevice.memMapBatch(mMapBatch);
-        if (!s.ok())
-            return s; // atomic: nothing was installed at @p base
-        const Status acc = mDevice.memSetAccess(base, block->size);
-        if (!acc.ok()) {
-            const Status undo = mDevice.memUnmap(base, block->size);
-            GMLAKE_ASSERT(undo.ok(),
-                          "fault-in rollback unmap failed");
-            return acc;
-        }
-        return Status::success();
+    const auto target = [&](std::size_t i) {
+        if (i == 0)
+            return block->va;
+        const SBlock *sharer = block->sharers[i - 1];
+        return sharer->va + sharerOffset(sharer, block);
     };
-    bool ownMapped = false;
-    std::size_t sharersMapped = 0;
-    Status remap = remapAt(block->va);
-    if (remap.ok()) {
-        ownMapped = true;
-        for (SBlock *sharer : block->sharers) {
-            remap = remapAt(sharer->va + sharerOffset(sharer, block));
-            if (!remap.ok())
-                break;
-            ++sharersMapped;
-        }
-    }
-    if (!remap.ok()) {
-        // Unwind every range remapped so far and release the fresh
-        // chunks: the block ends exactly as spilled as it started.
-        if (ownMapped) {
-            const Status s = mDevice.memUnmap(block->va, block->size);
+    for (std::size_t i = 0; i <= block->sharers.size(); ++i) {
+        const Status remap =
+            mapChunks(target(i), block->size, block->chunks);
+        if (remap.ok())
+            continue;
+        for (std::size_t j = 0; j < i; ++j) {
+            const Status s = mDevice.memUnmap(target(j), block->size);
             GMLAKE_ASSERT(s.ok(), "fault-in rollback unmap failed");
         }
-        for (std::size_t i = 0; i < sharersMapped; ++i) {
-            SBlock *sharer = block->sharers[i];
-            const Status s = mDevice.memUnmap(
-                sharer->va + sharerOffset(sharer, block),
-                block->size);
-            GMLAKE_ASSERT(s.ok(), "fault-in rollback unmap failed");
-        }
-        const Status rel = mDevice.memReleaseBatch(block->chunks);
-        GMLAKE_ASSERT(rel.ok(), "fault-in rollback failed");
-        block->chunks.clear();
-        noteRollback();
-        return remap;
+        return unwind(remap);
     }
 
     block->resident = true;
@@ -605,6 +573,17 @@ GMLakeAllocator::ensureResident(SBlock *sblock)
 {
     for (PBlock *m : sblock->members) {
         if (const Status s = ensureResident(m); !s.ok())
+            return s;
+    }
+    return Status::success();
+}
+
+Status
+GMLakeAllocator::faultIn(std::span<PBlock *const> blocks)
+{
+    const TrimGuard guard(*this);
+    for (PBlock *p : blocks) {
+        if (const Status s = ensureResident(p); !s.ok())
             return s;
     }
     return Status::success();
@@ -715,7 +694,7 @@ GMLakeAllocator::faultLive(alloc::AllocId id)
 // --------------------------------------------------------------------
 
 void
-GMLakeAllocator::markPActive(PBlock *block, bool active)
+GMLakeAllocator::markActive(PBlock *block, bool active)
 {
     if (block->active == active)
         return;
@@ -730,20 +709,20 @@ GMLakeAllocator::markPActive(PBlock *block, bool active)
 }
 
 void
-GMLakeAllocator::markSActive(SBlock *sblock, bool active)
+GMLakeAllocator::markActive(SBlock *sblock, bool active)
 {
     if (active) {
         GMLAKE_ASSERT(!sblock->active, "double-activation of sBlock");
         mInactiveS.erase(sblock);
         sblock->active = true;
         for (PBlock *m : sblock->members)
-            markPActive(m, true);
+            markActive(m, true);
     } else {
         sblock->active = false;
         sblock->lastUse = mDevice.now();
         mInactiveS.insert(sblock);
         for (PBlock *m : sblock->members)
-            markPActive(m, false);
+            markActive(m, false);
     }
 }
 
@@ -856,19 +835,62 @@ GMLakeAllocator::allocateImpl(Bytes size, StreamId stream)
     return allocateLarge(size, stream);
 }
 
-Expected<alloc::Allocation>
-GMLakeAllocator::allocateLarge(Bytes size, StreamId stream)
+namespace
 {
-    bool retried = false;
-    auto result = allocateLargeInner(size, stream, retried);
-    if (retried && result.ok())
-        ++mRecovered;
-    return result;
+
+/**
+ * The S1 near-match scan of one size-descending pool: among the
+ * blocks sized in [lo, hi] that pass @p ok, the tightest size, then
+ * the most recently used. (Heterogeneous lookup: lower_bound(Bytes)
+ * lands on the first block whose size is <= the key.)
+ */
+template <typename Pool, typename Ok>
+typename Pool::value_type
+nearMatch(const Pool &pool, Bytes lo, Bytes hi, Ok &&ok)
+{
+    typename Pool::value_type hit = nullptr;
+    for (auto it = pool.lower_bound(hi);
+         it != pool.end() && (*it)->size >= lo; ++it) {
+        const auto b = *it;
+        if (ok(b) && (!hit || b->size < hit->size ||
+                      (b->size == hit->size && b->lastUse > hit->lastUse)))
+            hit = b;
+    }
+    return hit;
+}
+
+} // namespace
+
+template <typename Block>
+Expected<alloc::Allocation>
+GMLakeAllocator::handOut(Block *block, Bytes size, StreamId stream)
+{
+    const alloc::AllocId id = mNextAllocId++;
+    // Activate first: active blocks are invisible to cache trims, so
+    // the fault-in's own reclaim cannot evict what it is restoring.
+    markActive(block, true);
+    if (const Status st = ensureResident(block); !st.ok()) {
+        markActive(block, false);
+        ++mCounters.s5Oom;
+        return st.error();
+    }
+    block->stream = stream;
+    Live live;
+    live.requested = size;
+    if constexpr (std::is_same_v<Block, SBlock>) {
+        for (PBlock *m : block->members)
+            m->stream = stream;
+        live.s = block;
+    } else {
+        live.p = block;
+    }
+    mLive.emplace(id, live);
+    mStats.onAllocate(block->size);
+    return alloc::Allocation{id, size, block->va};
 }
 
 Expected<alloc::Allocation>
-GMLakeAllocator::allocateLargeInner(Bytes size, StreamId stream,
-                                    bool &retried)
+GMLakeAllocator::allocateLarge(Bytes size, StreamId stream)
 {
     const Bytes rounded = roundUp(size, mConfig.chunkSize);
     // Largest acceptable over-allocation for a whole-block hand-out.
@@ -884,6 +906,21 @@ GMLakeAllocator::allocateLargeInner(Bytes size, StreamId stream,
     // before its first use.
     stitchFree();
 
+    // Set when a failed growth round was answered with a reclaim and
+    // a retry; a hand-out after that counts as a recovery.
+    bool retried = false;
+    const auto served = [&](Expected<alloc::Allocation> result) {
+        if (retried && result.ok())
+            ++mRecovered;
+        return result;
+    };
+    auto sEligible = [&](const SBlock *s) {
+        return mConfig.enableStitching && eligible(*s, stream);
+    };
+    auto pEligible = [&](const PBlock *p) {
+        return streamOk(p->stream, p->lastUse, stream);
+    };
+
     // With an offload hook each failed growth round may reclaim more
     // (cache trim, then progressively colder live victims), so the
     // retry ladder is longer; progress-gating below keeps it short
@@ -891,96 +928,33 @@ GMLakeAllocator::allocateLargeInner(Bytes size, StreamId stream,
     // loop, bit for bit.
     const int maxAttempts = mOffloadHook != nullptr ? 8 : 2;
     for (int attempt = 0; attempt < maxAttempts; ++attempt) {
-        // S1 fast path: most-recently-used exact match. Taking the
+        // S1: every cached block sized in [rounded, rounded + slack],
+        // the tightest first, then the most recently used. Taking the
         // MRU candidate (rather than an arbitrary one) makes the
         // block-to-request assignment stable across the repeating
         // iterations of DNN training, which is what lets the pattern
         // tape of Section 4.2.2 converge instead of oscillating.
-        {
-            // Scan all cached blocks in [rounded, rounded + slack],
-            // preferring the tightest size, then the most recent.
-            // (Heterogeneous lookup: lower_bound(Bytes) lands on the
-            // first block whose size is <= the key.)
-            SBlock *sHit = nullptr;
-            for (auto it = mInactiveS.lower_bound(rounded + slack);
-                 it != mInactiveS.end() && (*it)->size >= rounded;
-                 ++it) {
-                if (eligible(**it, stream) &&
-                    (!sHit || (*it)->size < sHit->size ||
-                     ((*it)->size == sHit->size &&
-                      (*it)->lastUse > sHit->lastUse)))
-                    sHit = *it;
-            }
-            PBlock *pHit = nullptr;
-            for (auto it = mInactiveP.lower_bound(rounded + slack);
-                 it != mInactiveP.end() && (*it)->size >= rounded;
-                 ++it) {
-                if (!streamOk((*it)->stream, (*it)->lastUse, stream))
-                    continue;
-                if (!pHit || (*it)->size < pHit->size ||
-                    ((*it)->size == pHit->size &&
-                     (*it)->lastUse > pHit->lastUse))
-                    pHit = *it;
-            }
-            if (sHit || pHit) {
-                ++mCounters.s1ExactMatch;
-                notePhase(obs::AllocPhase::s1ExactMatch, rounded);
-                const alloc::AllocId id = mNextAllocId++;
-                Live live;
-                live.requested = size;
-                const bool useS =
-                    sHit &&
-                    (!pHit || sHit->size < pHit->size ||
-                     (sHit->size == pHit->size &&
-                      sHit->lastUse >= pHit->lastUse));
-                if (useS) {
-                    // Activate first: active blocks are invisible to
-                    // cache trims, so the fault-in's own reclaim
-                    // cannot evict what it is restoring.
-                    markSActive(sHit, true);
-                    if (const Status st = ensureResident(sHit);
-                        !st.ok()) {
-                        markSActive(sHit, false);
-                        ++mCounters.s5Oom;
-                        return st.error();
-                    }
-                    sHit->stream = stream;
-                    for (PBlock *m : sHit->members)
-                        m->stream = stream;
-                    live.s = sHit;
-                    mLive.emplace(id, live);
-                    mStats.onAllocate(sHit->size);
-                    return alloc::Allocation{id, size, sHit->va};
-                }
-                markPActive(pHit, true);
-                if (const Status st = ensureResident(pHit);
-                    !st.ok()) {
-                    markPActive(pHit, false);
-                    ++mCounters.s5Oom;
-                    return st.error();
-                }
-                pHit->stream = stream;
-                live.p = pHit;
-                mLive.emplace(id, live);
-                mStats.onAllocate(pHit->size);
-                return alloc::Allocation{id, size, pHit->va};
-            }
+        SBlock *sHit = nearMatch(
+            mInactiveS, rounded, rounded + slack,
+            [&](const SBlock *s) { return eligible(*s, stream); });
+        PBlock *pHit =
+            nearMatch(mInactiveP, rounded, rounded + slack, pEligible);
+        if (sHit || pHit) {
+            ++mCounters.s1ExactMatch;
+            notePhase(obs::AllocPhase::s1ExactMatch, rounded);
+            const bool useS =
+                sHit && (!pHit || sHit->size < pHit->size ||
+                         (sHit->size == pHit->size &&
+                          sHit->lastUse >= pHit->lastUse));
+            return served(useS ? handOut(sHit, size, stream)
+                               : handOut(pHit, size, stream));
         }
 
         // BestFit runs directly over the sorted inactive pools:
         // eligibility is checked in place, candidates come back as
         // pointers in the reusable scratch vector, and nothing is
         // materialized per request.
-        const Bytes fragLimit = mConfig.enableStitching
-                                    ? mConfig.fragLimit
-                                    : ~Bytes{0};
-        auto sEligible = [&](const SBlock *s) {
-            return mConfig.enableStitching && eligible(*s, stream);
-        };
-        auto pEligible = [&](const PBlock *p) {
-            return streamOk(p->stream, p->lastUse, stream);
-        };
-
+        //
         // Two-phase search: first try to satisfy the request from
         // pBlocks that no cached sBlock references (the
         // incrementally maintained mInactivePFree index). Splitting
@@ -988,6 +962,9 @@ GMLakeAllocator::allocateLargeInner(Bytes size, StreamId stream,
         // cached composition over it, which would force the
         // repeating training pattern to re-stitch each iteration;
         // preferring unshared blocks keeps the pattern tape intact.
+        const Bytes fragLimit = mConfig.enableStitching
+                                    ? mConfig.fragLimit
+                                    : ~Bytes{0};
         auto fit = bestFitOverPools(rounded, mInactiveS,
                                     mInactivePFree, fragLimit,
                                     sEligible, pEligible,
@@ -997,136 +974,42 @@ GMLakeAllocator::allocateLargeInner(Bytes size, StreamId stream,
                                    fragLimit, sEligible, pEligible,
                                    mFitCandidates);
         }
+        // BestFit's exact matches are a subset of the S1 scan above.
+        GMLAKE_ASSERT(fit.state != FitState::exactMatch,
+                      "BestFit exact match missed by the S1 scan");
 
-        switch (fit.state) {
-          case FitState::exactMatch: {
-            ++mCounters.s1ExactMatch;
-            notePhase(obs::AllocPhase::s1ExactMatch, rounded);
-            const alloc::AllocId id = mNextAllocId++;
-            Live live;
-            live.requested = size;
-            if (fit.sBlock != nullptr) {
-                SBlock *s = fit.sBlock;
-                markSActive(s, true);
-                if (const Status st = ensureResident(s); !st.ok()) {
-                    markSActive(s, false);
-                    ++mCounters.s5Oom;
-                    return st.error();
-                }
-                s->stream = stream;
-                for (PBlock *m : s->members)
-                    m->stream = stream;
-                live.s = s;
-                mLive.emplace(id, live);
-                mStats.onAllocate(s->size);
-                return alloc::Allocation{id, size, s->va};
-            }
-            PBlock *p = mFitCandidates.front();
-            markPActive(p, true);
-            if (const Status st = ensureResident(p); !st.ok()) {
-                markPActive(p, false);
-                ++mCounters.s5Oom;
-                return st.error();
-            }
-            p->stream = stream;
-            live.p = p;
-            mLive.emplace(id, live);
-            mStats.onAllocate(p->size);
-            return alloc::Allocation{id, size, p->va};
-          }
-
-          case FitState::singleBlock: {
+        if (fit.state == FitState::singleBlock) {
             ++mCounters.s2SingleBlock;
             notePhase(obs::AllocPhase::s2SingleBlock, rounded);
             PBlock *p = mFitCandidates.front();
-            {
-                // The block is still inactive while it is restored,
-                // so suspend cache trimming around the fault-in.
-                const TrimGuard guard(*this);
-                if (const Status st = ensureResident(p); !st.ok()) {
-                    ++mCounters.s5Oom;
-                    return st.error();
-                }
+            if (const Status st = faultIn({&p, 1}); !st.ok()) {
+                ++mCounters.s5Oom;
+                return st.error();
             }
             // Fragmentation limit (Section 4.2.3): never create a
             // remainder below the limit — such fragments would be
             // excluded from stitching forever and only bloat the
             // pool. Hand the block out whole instead.
-            const bool splittable =
-                p->size - rounded >=
-                std::max(mConfig.fragLimit, mConfig.chunkSize);
-            if (splittable) {
-                const auto half = splitPBlock(p, rounded);
-                if (half.ok())
+            if (p->size - rounded >=
+                std::max(mConfig.fragLimit, mConfig.chunkSize)) {
+                if (const auto half = splitPBlock(p, rounded); half.ok())
                     p = *half;
             }
-            markPActive(p, true);
-            p->stream = stream;
-            const alloc::AllocId id = mNextAllocId++;
-            Live live;
-            live.requested = size;
-            live.p = p;
-            mLive.emplace(id, live);
-            mStats.onAllocate(p->size);
-            return alloc::Allocation{id, size, p->va};
-          }
+            return served(handOut(p, size, stream));
+        }
 
-          case FitState::multiBlocks: {
+        // S3 stitches the candidates; S4 first grows a fresh block
+        // for the shortfall and stitches it behind them. The
+        // candidates already are the member pointers; the scratch
+        // vector doubles as the stitch member list.
+        std::vector<PBlock *> &members = mFitCandidates;
+        Bytes have = fit.candidateBytes;
+        if (fit.state == FitState::multiBlocks) {
             ++mCounters.s3MultiBlocks;
             notePhase(obs::AllocPhase::s3MultiBlocks, rounded);
-            // The candidates already are the member pointers; the
-            // scratch vector doubles as the stitch member list.
-            std::vector<PBlock *> &members = mFitCandidates;
-            {
-                // Fault in any spilled member before the stitch maps
-                // its chunks; trimming is suspended so one member's
-                // restore cannot evict another.
-                const TrimGuard guard(*this);
-                for (PBlock *m : members) {
-                    if (const Status st = ensureResident(m);
-                        !st.ok()) {
-                        ++mCounters.s5Oom;
-                        return st.error();
-                    }
-                }
-            }
-
-            // Trim the final candidate so the stitched size matches
-            // the request (Fig 9: the final pBlock can be split) —
-            // but only when the cut-off piece stays above the
-            // fragmentation limit; otherwise keep the overshoot
-            // inside the sBlock.
-            const Bytes excess = fit.candidateBytes - rounded;
-            PBlock *last = members.back();
-            if (excess > std::max({slack, mConfig.fragLimit,
-                                   mConfig.chunkSize}) &&
-                last->size - excess >= mConfig.chunkSize) {
-                const auto trimmed =
-                    splitPBlock(last, last->size - excess);
-                if (trimmed.ok())
-                    members.back() = *trimmed;
-            }
-
-            const auto sblock = stitch(members, stream);
-            if (!sblock.ok())
-                return sblock.error();
-            markSActive(*sblock, true);
-            for (PBlock *m : (*sblock)->members)
-                m->stream = stream;
-            const alloc::AllocId id = mNextAllocId++;
-            Live live;
-            live.requested = size;
-            live.s = *sblock;
-            mLive.emplace(id, live);
-            mStats.onAllocate((*sblock)->size);
-            return alloc::Allocation{id, size, (*sblock)->va};
-          }
-
-          case FitState::insufficient: {
+        } else {
             ++mCounters.s4Insufficient;
             notePhase(obs::AllocPhase::s4Insufficient, rounded);
-            std::vector<PBlock *> &members = mFitCandidates;
-            Bytes have = fit.candidateBytes;
             if (!mConfig.enableStitching) {
                 members.clear();
                 have = 0;
@@ -1157,52 +1040,41 @@ GMLakeAllocator::allocateLargeInner(Bytes size, StreamId stream,
                 ++mCounters.s5Oom;
                 return fresh.error();
             }
-
-            const alloc::AllocId id = mNextAllocId++;
-            Live live;
-            live.requested = size;
-            if (members.empty()) {
-                PBlock *p = *fresh;
-                markPActive(p, true);
-                p->stream = stream;
-                live.p = p;
-                mLive.emplace(id, live);
-                mStats.onAllocate(p->size);
-                return alloc::Allocation{id, size, p->va};
-            }
+            if (members.empty())
+                return served(handOut(*fresh, size, stream));
             members.push_back(*fresh);
-            {
-                // As in the multi-block state: spilled members must
-                // be backed again before the stitch maps them. The
-                // fresh block is inactive too, so the guard also
-                // shields it from a nested trim.
-                const TrimGuard guard(*this);
-                for (PBlock *m : members) {
-                    if (const Status st = ensureResident(m);
-                        !st.ok()) {
-                        ++mCounters.s5Oom;
-                        return st.error();
-                    }
-                }
-            }
-            const auto sblock = stitch(members, stream);
-            if (!sblock.ok())
-                return sblock.error();
-            markSActive(*sblock, true);
-            for (PBlock *m : (*sblock)->members)
-                m->stream = stream;
-            live.s = *sblock;
-            mLive.emplace(id, live);
-            mStats.onAllocate((*sblock)->size);
-            return alloc::Allocation{id, size, (*sblock)->va};
-          }
+            have = rounded;
         }
-        GMLAKE_PANIC("unreachable BestFit state");
+
+        // Fault in any spilled member before the stitch maps its
+        // chunks (S4's fresh block is inactive too, so the trim
+        // guard also shields it).
+        if (const Status st = faultIn(members); !st.ok()) {
+            ++mCounters.s5Oom;
+            return st.error();
+        }
+        // Trim the final candidate so the stitched size matches the
+        // request (Fig 9: the final pBlock can be split) — but only
+        // when the cut-off piece stays above the fragmentation
+        // limit; otherwise keep the overshoot inside the sBlock.
+        const Bytes excess = have - rounded;
+        PBlock *last = members.back();
+        if (excess > std::max({slack, mConfig.fragLimit,
+                               mConfig.chunkSize}) &&
+            last->size - excess >= mConfig.chunkSize) {
+            if (const auto trimmed = splitPBlock(last, last->size - excess);
+                trimmed.ok())
+                members.back() = *trimmed;
+        }
+        const auto sblock = stitch(members, stream);
+        if (!sblock.ok())
+            return sblock.error();
+        return served(handOut(*sblock, size, stream));
     }
     ++mCounters.s5Oom;
     return makeError(Errc::outOfMemory,
                      "GMLake: out of memory allocating " +
-                     formatBytes(size));
+                         formatBytes(size));
 }
 
 Status
@@ -1224,11 +1096,11 @@ GMLakeAllocator::deallocate(alloc::AllocId id)
         // Update (Section 3.3.2): only flip the active state; the
         // stitched structure stays cached for the repeating pattern.
         mStats.onDeallocate(live.s->size);
-        markSActive(live.s, false);
+        markActive(live.s, false);
     } else {
         GMLAKE_ASSERT(live.p, "live allocation with no target");
         mStats.onDeallocate(live.p->size);
-        markPActive(live.p, false);
+        markActive(live.p, false);
     }
     mLive.erase(it);
     return Status::success();
@@ -1356,10 +1228,6 @@ GMLakeAllocator::snapshot() const
 }
 
 // --------------------------------------------------------------------
-// Invariants
-// --------------------------------------------------------------------
-
-// --------------------------------------------------------------------
 // Checkpoint / restore
 // --------------------------------------------------------------------
 
@@ -1367,7 +1235,7 @@ GMLakeAllocator::snapshot() const
  * Checkpoint payload. The pBlock/sBlock graphs are flattened to id
  * references: block ids are stable and unique for the allocator's
  * lifetime, so the pointer graph rebuilds exactly — including the
- * *order* of each pBlock's sharers vector (releasePBlock destroys
+ * *order* of each pBlock's sharers vector (splitPBlock destroys
  * sharers back-first) and each sBlock's members vector (stitch
  * order). The inactive indices are not stored: they are ordered sets
  * keyed on (size, id), so rebuilding them from the active flags is

@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <set>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -135,13 +136,6 @@ class GMLakeAllocator : public alloc::Allocator
         return {mRollbacks, mRecovered};
     }
 
-    /**
-     * Partial-failure unwinds executed (stitch, split, fresh pBlock
-     * build, fault-in remap). Zero unless a device API failed
-     * mid-mutation — which never happens without fault injection.
-     */
-    std::uint64_t rollbackCount() const { return mRollbacks; }
-
   private:
     struct SBlock;
     struct State;
@@ -217,46 +211,25 @@ class GMLakeAllocator : public alloc::Allocator
      * Transparent: lower_bound(Bytes) finds the first block whose
      * size is <= the key without building a probe block.
      */
-    struct PBlockCmp
+    template <typename Block>
+    struct SizeDescending
     {
         using is_transparent = void;
 
         bool
-        operator()(const PBlock *a, const PBlock *b) const
+        operator()(const Block *a, const Block *b) const
         {
             if (a->size != b->size)
                 return a->size > b->size;
             return a->id < b->id;
         }
         bool
-        operator()(const PBlock *a, Bytes size) const
+        operator()(const Block *a, Bytes size) const
         {
             return a->size > size;
         }
         bool
-        operator()(Bytes size, const PBlock *a) const
-        {
-            return size > a->size;
-        }
-    };
-    struct SBlockCmp
-    {
-        using is_transparent = void;
-
-        bool
-        operator()(const SBlock *a, const SBlock *b) const
-        {
-            if (a->size != b->size)
-                return a->size > b->size;
-            return a->id < b->id;
-        }
-        bool
-        operator()(const SBlock *a, Bytes size) const
-        {
-            return a->size > size;
-        }
-        bool
-        operator()(Bytes size, const SBlock *a) const
+        operator()(Bytes size, const Block *a) const
         {
             return size > a->size;
         }
@@ -288,9 +261,9 @@ class GMLakeAllocator : public alloc::Allocator
      * inactive-pool insert/erase, so the preference phase needs no
      * per-request rebuild.
      */
-    std::set<PBlock *, PBlockCmp> mInactiveP;
-    std::set<PBlock *, PBlockCmp> mInactivePFree;
-    std::set<SBlock *, SBlockCmp> mInactiveS;
+    std::set<PBlock *, SizeDescending<PBlock>> mInactiveP;
+    std::set<PBlock *, SizeDescending<PBlock>> mInactivePFree;
+    std::set<SBlock *, SizeDescending<SBlock>> mInactiveS;
 
     /**
      * Reusable scratch for the BestFit candidate set: cleared by
@@ -298,7 +271,7 @@ class GMLakeAllocator : public alloc::Allocator
      * performs no heap allocation.
      */
     std::vector<PBlock *> mFitCandidates;
-    /** Reusable scratch for batched cuMemMap calls (stitch/split). */
+    /** Reusable scratch for batched cuMemMap calls (mapChunks). */
     std::vector<std::pair<VirtAddr, PhysHandle>> mMapBatch;
 
     /** Live allocations: id -> target block (exactly one non-null). */
@@ -366,11 +339,30 @@ class GMLakeAllocator : public alloc::Allocator
 
     // --- lifecycle helpers --------------------------------------------
 
+    /**
+     * Unmap and free a stitched VA, which has holes where spilled
+     * members were mapped (spillPBlock unmapped those ranges).
+     */
     void destroySBlock(SBlock *sblock);
     void releasePBlock(PBlock *block);
 
-    void markPActive(PBlock *block, bool active);
-    void markSActive(SBlock *sblock, bool active);
+    /**
+     * Map @p chunks back-to-back at @p va and make [va, va+size)
+     * accessible; a failed setAccess unmaps again, so on error
+     * nothing stays mapped.
+     */
+    template <typename Chunks>
+    Status mapChunks(VirtAddr va, Bytes size, const Chunks &chunks);
+
+    /** mapChunks() under a fresh reservation, freed on failure. */
+    template <typename Chunks>
+    Expected<VirtAddr> mapFresh(Bytes size, const Chunks &chunks);
+
+    /** Unmap [va, va+size) and free the reservation at @p va. */
+    void unmapAndFree(VirtAddr va, Bytes size);
+
+    void markActive(PBlock *block, bool active);
+    void markActive(SBlock *sblock, bool active);
 
     /** Insert/erase @p block in both inactive pBlock indices. */
     void
@@ -433,10 +425,16 @@ class GMLakeAllocator : public alloc::Allocator
     /** ensureResident() over every member of @p sblock. */
     Status ensureResident(SBlock *sblock);
 
+    /**
+     * ensureResident() over inactive @p blocks with cache trims
+     * suspended, so restoring one block cannot spill another.
+     */
+    Status faultIn(std::span<PBlock *const> blocks);
+
     /** Last-resort release of cached memory, then used by retries. */
     void releaseCached();
 
-    /** Count one partial-failure unwind (see rollbackCount()). */
+    /** Count one partial-failure unwind (see recoveryCounters()). */
     void noteRollback() { ++mRollbacks; }
     std::uint64_t mRollbacks = 0;
     /** Allocations that succeeded only after a failed growth round. */
@@ -461,18 +459,19 @@ class GMLakeAllocator : public alloc::Allocator
     void notePhase(obs::AllocPhase phase, Bytes rounded);
     void noteReclaimRung(int attempt, Bytes reclaimed);
 
-    /** Serve one large request; factor of allocate(). */
+    /** Serve one large request (Fig 9, states S1-S5). */
     Expected<alloc::Allocation> allocateLarge(Bytes size,
                                               StreamId stream);
 
     /**
-     * allocateLarge() body: the retry ladder sets @p retried when a
-     * failed growth round was answered with a reclaim-and-retry, so
-     * the wrapper can count ultimately successful recoveries.
+     * Hand @p block out for a request of @p size on @p stream, the
+     * one exit of every successful state: draw the id, activate,
+     * fault in (S1 may pick a spilled block; undone and counted as
+     * S5 on failure), tag the stream, record the live allocation.
      */
-    Expected<alloc::Allocation> allocateLargeInner(Bytes size,
-                                                   StreamId stream,
-                                                   bool &retried);
+    template <typename Block>
+    Expected<alloc::Allocation> handOut(Block *block, Bytes size,
+                                        StreamId stream);
 
     /** Bridge small-path stats into the unified stats object. */
     void syncSmallPathStats();

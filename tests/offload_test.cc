@@ -2,14 +2,16 @@
  * @file
  * Host-offload tier tests: HostPool accounting, eviction-policy
  * ranking, the device's async copy lanes, GMLake's spill/fault
- * cooperation (cache trims keep stitched structures; live spills
- * keep ids and VAs valid), prefetch overlap, engine integration with
+ * cooperation (cache trims keep stitched structures, which still
+ * tear down cleanly with members spilled; live spills keep ids and
+ * VAs valid), prefetch overlap, engine integration with
  * touch/prefetch trace events, determinism, and a threaded run that
  * gives TSan real concurrency over the copy-lane code paths.
  */
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <vector>
 
 #include "alloc/caching_allocator.hh"
@@ -119,9 +121,10 @@ struct LakeRig
     core::GMLakeAllocator lake;
     OffloadManager tier;
 
-    explicit LakeRig(Bytes capacity, OffloadConfig config = {})
+    explicit LakeRig(Bytes capacity, OffloadConfig config = {},
+                     core::GMLakeConfig lakeConfig = {})
         : device(vmm::DeviceConfig{capacity, 2_MiB, {}}),
-          lake(device),
+          lake(device, lakeConfig),
           tier(device, lake, config)
     {
     }
@@ -133,6 +136,44 @@ struct LakeRig
         EXPECT_TRUE(got.ok());
         tier.onAllocated(got->id, bytes, session);
         return got->id;
+    }
+
+    void
+    release(alloc::AllocId id)
+    {
+        tier.onFreed(id);
+        ASSERT_TRUE(lake.deallocate(id).ok());
+    }
+
+    /**
+     * Free @p ids, then allocate their total back as one request:
+     * GMLake stitches the freed blocks into one sBlock. Leaves the
+     * sBlock cached and every stream synchronized.
+     */
+    void
+    stitchFreed(std::initializer_list<alloc::AllocId> ids, Bytes total)
+    {
+        for (const alloc::AllocId id : ids)
+            release(id);
+        lake.deviceSynchronize();
+        release(alloc(total));
+        lake.deviceSynchronize();
+        ASSERT_EQ(lake.strategy().stitches, 1u);
+        ASSERT_EQ(lake.sBlockCount(), 1u);
+    }
+
+    /**
+     * Flush the cache with nothing live: the books must audit clean
+     * and the device must hold no chunk, mapping or reservation.
+     */
+    void
+    expectEmptyAfterFlush()
+    {
+        lake.emptyCache();
+        lake.auditInvariants();
+        EXPECT_EQ(device.mappings().mappingCount(), 0u);
+        EXPECT_EQ(device.vaSpace().reservationCount(), 0u);
+        EXPECT_EQ(device.phys().liveHandles(), 0u);
     }
 };
 
@@ -207,8 +248,60 @@ TEST(GmlakeOffload, CacheTrimKeepsStitchedStructures)
     EXPECT_EQ(rig.tier.stats().evictedBytes, evictedBefore);
     EXPECT_EQ(rig.tier.stats().faultedBytes, faultedBefore);
     rig.lake.checkConsistency();
-    rig.tier.onFreed(c2);
-    ASSERT_TRUE(rig.lake.deallocate(c2).ok());
+    rig.release(c2);
+
+    // Spill the members again: nothing is mapped under the stitched
+    // VA any more, and flushing the cache must still tear the sBlock
+    // down without leaking a mapping or a reservation.
+    rig.lake.deviceSynchronize();
+    EXPECT_GE(rig.lake.trimCache(600_MiB), 600_MiB);
+    EXPECT_EQ(rig.lake.spilledBytes(), 600_MiB);
+    EXPECT_EQ(rig.lake.sBlockCount(), 1u);
+    rig.expectEmptyAfterFlush();
+}
+
+TEST(GmlakeOffload, SplitDestroysPartlySpilledStitch)
+{
+    LakeRig rig(1_GiB);
+    rig.stitchFreed({rig.alloc(400_MiB), rig.alloc(200_MiB)}, 600_MiB);
+    // Both members went idle together, so the trim spills the lower
+    // id first: the 400 MiB member.
+    EXPECT_GE(rig.lake.trimCache(400_MiB), 400_MiB);
+    EXPECT_EQ(rig.lake.spilledBytes(), 400_MiB);
+
+    // A 100 MiB request splits the resident 200 MiB member, which
+    // destroys the sBlock over it, hole and all.
+    const auto d = rig.alloc(100_MiB);
+    EXPECT_EQ(rig.lake.strategy().splits, 1u);
+    EXPECT_EQ(rig.lake.spilledBytes(), 400_MiB);
+    rig.lake.auditInvariants();
+
+    // The split re-stitched its halves; spill them both and flush.
+    rig.release(d);
+    rig.lake.deviceSynchronize();
+    EXPECT_GE(rig.lake.trimCache(200_MiB), 200_MiB);
+    EXPECT_EQ(rig.lake.spilledBytes(), 600_MiB);
+    EXPECT_EQ(rig.lake.sBlockCount(), 1u);
+    rig.expectEmptyAfterFlush();
+}
+
+TEST(GmlakeOffload, StitchFreeDestroysSpilledStitch)
+{
+    core::GMLakeConfig config;
+    config.maxCachedSBlocks = 0; // evict every idle sBlock
+    LakeRig rig(1_GiB, {}, config);
+    rig.stitchFreed({rig.alloc(300_MiB), rig.alloc(300_MiB)}, 600_MiB);
+    EXPECT_GE(rig.lake.trimCache(600_MiB), 600_MiB);
+    EXPECT_EQ(rig.lake.spilledBytes(), 600_MiB);
+
+    // The next large request runs StitchFree before its search, and
+    // StitchFree evicts the spilled sBlock.
+    const auto d = rig.alloc(300_MiB);
+    EXPECT_EQ(rig.lake.strategy().stitchFrees, 1u);
+    EXPECT_EQ(rig.lake.sBlockCount(), 0u);
+    rig.lake.auditInvariants();
+    rig.release(d);
+    rig.expectEmptyAfterFlush();
 }
 
 TEST(GmlakeOffload, PrefetchHidesTheFaultStall)
